@@ -1,49 +1,35 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"multitherm/internal/core"
 	"multitherm/internal/metrics"
-	"multitherm/internal/parallel"
 	"multitherm/internal/sim"
 	"multitherm/internal/units"
 )
 
-// Paper reference values (Tables 5–8), used in reports and asserted
-// loosely by tests.
-var (
-	paperTable5 = map[string][2]float64{ // duty %, relative throughput
-		"Global stop-go": {19.77, 0.62},
-		"Dist. stop-go":  {32.57, 1.00},
-		"Global DVFS":    {66.49, 2.07},
-		"Dist. DVFS":     {81.02, 2.51},
-	}
-	paperTable6 = map[string][2]float64{
-		"Global stop-go + counter-based migration": {37.93, 1.18},
-		"Dist. stop-go + counter-based migration":  {65.12, 2.02},
-		"Global DVFS + counter-based migration":    {70.05, 2.18},
-		"Dist. DVFS + counter-based migration":     {82.42, 2.57},
-	}
-	paperTable7 = map[string][2]float64{
-		"Global stop-go + sensor-based migration": {38.64, 1.20},
-		"Dist. stop-go + sensor-based migration":  {66.61, 2.05},
-		"Global DVFS + sensor-based migration":    {68.37, 2.13},
-		"Dist. DVFS + sensor-based migration":     {82.64, 2.59},
-	}
-)
+// paperRefs holds the paper's published figures per taxonomy cell:
+// the duty cycle (%) and relative throughput of Tables 5–7, and the
+// rounded relative throughput Table 8 prints. Reports show them next to
+// the reproduced values.
+var paperRefs = map[core.PolicySpec]struct{ duty, rel, table8 float64 }{
+	{Mechanism: core.StopGo, Scope: core.Global}:      {19.77, 0.62, 0.62},
+	{Mechanism: core.StopGo, Scope: core.Distributed}: {32.57, 1.00, 1},
+	{Mechanism: core.DVFS, Scope: core.Global}:        {66.49, 2.07, 2.1},
+	{Mechanism: core.DVFS, Scope: core.Distributed}:   {81.02, 2.51, 2.5},
 
-// paperRelative returns the paper's relative-throughput figure for a
-// policy cell, or NaN when the paper does not tabulate it.
-func paperRelative(spec core.PolicySpec) float64 {
-	for _, m := range []map[string][2]float64{paperTable5, paperTable6, paperTable7} {
-		if v, ok := m[spec.String()]; ok {
-			return v[1]
-		}
-	}
-	return math.NaN()
+	{Mechanism: core.StopGo, Scope: core.Global, Migration: core.CounterMigration}:      {37.93, 1.18, 1.2},
+	{Mechanism: core.StopGo, Scope: core.Distributed, Migration: core.CounterMigration}: {65.12, 2.02, 2},
+	{Mechanism: core.DVFS, Scope: core.Global, Migration: core.CounterMigration}:        {70.05, 2.18, 2.2},
+	{Mechanism: core.DVFS, Scope: core.Distributed, Migration: core.CounterMigration}:   {82.42, 2.57, 2.6},
+
+	{Mechanism: core.StopGo, Scope: core.Global, Migration: core.SensorMigration}:      {38.64, 1.20, 1.2},
+	{Mechanism: core.StopGo, Scope: core.Distributed, Migration: core.SensorMigration}: {66.61, 2.05, 2.1},
+	{Mechanism: core.DVFS, Scope: core.Global, Migration: core.SensorMigration}:        {68.37, 2.13, 2.1},
+	{Mechanism: core.DVFS, Scope: core.Distributed, Migration: core.SensorMigration}:   {82.64, 2.59, 2.6},
 }
 
 // PolicyStudy holds the measured results of a set of policies over the
@@ -58,44 +44,29 @@ type PolicyStudy struct {
 }
 
 // runStudy executes the given policy set (always including the
-// baseline) over the workload suite. The full specs × workloads grid
-// goes through the batched cell engine at once — a study is the unit
-// with the most exposed parallelism (Table 8: 13 specs × 12 workloads
-// = 156 independent cells), and since every cell shares one thermal
-// template, the engine cuts the whole grid into lockstep batches —
-// and every result lands in its (spec, workload) slot, so the
-// assembled study is identical at any parallelism and batch width.
-func runStudy(o Options, id string, specs []core.PolicySpec, cfg sim.Config) (*PolicyStudy, error) {
+// baseline) over the workload suite as one grid — a study is the unit
+// with the most exposed parallelism (Table 8: 12 specs × 12 workloads
+// = 144 independent cells sharing one thermal template) — and every
+// result lands in its (spec, workload) slot, so the assembled study is
+// identical at any parallelism and batch width.
+func runStudy(o Options, id string, specs []core.PolicySpec) (*PolicyStudy, error) {
+	all := specs
+	if !slices.Contains(specs, core.Baseline) {
+		all = append([]core.PolicySpec{core.Baseline}, specs...)
+	}
+	runs, err := runGrid(o, grid{policies: all})
+	if err != nil {
+		return nil, err
+	}
 	s := &PolicyStudy{
 		id:      id,
 		Specs:   specs,
 		Runs:    map[core.PolicySpec][]*metrics.Run{},
 		Summary: map[core.PolicySpec]metrics.Summary{},
 	}
-	haveBase := false
-	for _, spec := range specs {
-		if spec == core.Baseline {
-			haveBase = true
-		}
-	}
-	if !haveBase {
-		specs = append([]core.PolicySpec{core.Baseline}, specs...)
-	}
-	mixes := o.workloads()
-	cells := make([]cell, 0, len(specs)*len(mixes))
-	for _, spec := range specs {
-		for _, mix := range mixes {
-			cells = append(cells, cell{cfg: cfg, mix: mix, spec: spec})
-		}
-	}
-	runs, err := runCells(o, cells)
-	if err != nil {
-		return nil, err
-	}
-	for si, spec := range specs {
-		row := runs[si*len(mixes) : (si+1)*len(mixes)]
-		s.Runs[spec] = row
-		s.Summary[spec] = metrics.Summarize(spec.String(), row)
+	for p, spec := range all {
+		s.Runs[spec] = runs[0][p]
+		s.Summary[spec] = metrics.Summarize(spec.String(), runs[0][p])
 	}
 	s.Baseline = s.Summary[core.Baseline]
 	return s, nil
@@ -124,25 +95,29 @@ func (s *PolicyStudy) Emergencies() units.Seconds {
 	return total
 }
 
-// renderSummary prints one row per policy with the paper's reference.
-func (s *PolicyStudy) renderSummary(title string, paperRef bool) string {
-	t := newTable(title, "policy", "BIPS", "duty cycle", "rel. throughput", "paper duty", "paper rel.")
+// renderSummary prints one row per policy next to the paper's
+// published duty cycle and relative throughput. A non-nil speedup adds
+// a column with each policy's gain over its non-migrating counterpart.
+func (s *PolicyStudy) renderSummary(title string, speedup map[core.PolicySpec]float64) string {
+	headers := []string{"policy", "BIPS", "duty cycle", "rel. throughput"}
+	if speedup != nil {
+		headers = append(headers, "speedup vs non-mig.")
+	}
+	t := newTable(title, append(headers, "paper duty", "paper rel.")...)
 	for _, spec := range s.Specs {
 		sum := s.Summary[spec]
-		pd, pr := "-", "-"
-		if ref := paperRelative(spec); paperRef && !math.IsNaN(ref) {
-			for _, m := range []map[string][2]float64{paperTable5, paperTable6, paperTable7} {
-				if v, ok := m[spec.String()]; ok {
-					pd = fmt.Sprintf("%.1f%%", v[0])
-				}
-			}
-			pr = fmt.Sprintf("%.2f", ref)
-		}
-		t.add(spec.String(),
+		row := []string{spec.String(),
 			fmt.Sprintf("%.2f", sum.MeanBIPS),
 			fmt.Sprintf("%.1f%%", sum.MeanDuty*100),
-			fmt.Sprintf("%.2f", s.Relative(spec)),
-			pd, pr)
+			fmt.Sprintf("%.2f", s.Relative(spec))}
+		if speedup != nil {
+			row = append(row, fmt.Sprintf("%.2f", speedup[spec]))
+		}
+		pd, pr := "-", "-"
+		if ref, ok := paperRefs[spec]; ok {
+			pd, pr = fmt.Sprintf("%.1f%%", ref.duty), fmt.Sprintf("%.2f", ref.rel)
+		}
+		t.add(append(row, pd, pr)...)
 	}
 	return t.String()
 }
@@ -179,7 +154,7 @@ type Fig3Result struct {
 
 // RunFig3 reproduces Figure 3.
 func RunFig3(o Options) (*Fig3Result, error) {
-	study, err := runStudy(o, "fig3", nonMigrationSpecs(), o.simConfig())
+	study, err := runStudy(o, "fig3", nonMigrationSpecs())
 	if err != nil {
 		return nil, err
 	}
@@ -225,7 +200,7 @@ type Table5Result struct{ *PolicyStudy }
 
 // RunTable5 reproduces Table 5.
 func RunTable5(o Options) (*Table5Result, error) {
-	study, err := runStudy(o, "table5", nonMigrationSpecs(), o.simConfig())
+	study, err := runStudy(o, "table5", nonMigrationSpecs())
 	if err != nil {
 		return nil, err
 	}
@@ -234,7 +209,7 @@ func RunTable5(o Options) (*Table5Result, error) {
 
 // Render implements Result.
 func (t *Table5Result) Render() string {
-	return t.renderSummary("Table 5: average throughput and duty cycle, non-migration policies", true)
+	return t.renderSummary("Table 5: average throughput and duty cycle, non-migration policies", nil)
 }
 
 // ---------------------------------------------------------- tables 6, 7
@@ -252,7 +227,7 @@ type MigrationTableResult struct {
 
 func runMigrationTable(o Options, id string, kind core.MigrationKind) (*MigrationTableResult, error) {
 	specs := append(nonMigrationSpecs(), withMigration(kind)...)
-	study, err := runStudy(o, id, specs, o.simConfig())
+	study, err := runStudy(o, id, specs)
 	if err != nil {
 		return nil, err
 	}
@@ -272,14 +247,12 @@ func runMigrationTable(o Options, id string, kind core.MigrationKind) (*Migratio
 
 // RunTable6 reproduces Table 6 (counter-based migration).
 func RunTable6(o Options) (*MigrationTableResult, error) {
-	r, err := runMigrationTable(o, "table6", core.CounterMigration)
-	return r, err
+	return runMigrationTable(o, "table6", core.CounterMigration)
 }
 
 // RunTable7 reproduces Table 7 (sensor-based migration).
 func RunTable7(o Options) (*MigrationTableResult, error) {
-	r, err := runMigrationTable(o, "table7", core.SensorMigration)
-	return r, err
+	return runMigrationTable(o, "table7", core.SensorMigration)
 }
 
 // Render implements Result.
@@ -288,25 +261,7 @@ func (t *MigrationTableResult) Render() string {
 	if t.Kind == core.SensorMigration {
 		n = "7"
 	}
-	tab := newTable(fmt.Sprintf("Table %s: %s results", n, t.Kind),
-		"policy", "BIPS", "duty cycle", "rel. throughput", "speedup vs non-mig.", "paper duty", "paper rel.")
-	for _, spec := range t.Specs {
-		sum := t.Summary[spec]
-		pd, pr := "-", "-"
-		for _, m := range []map[string][2]float64{paperTable6, paperTable7} {
-			if v, ok := m[spec.String()]; ok {
-				pd = fmt.Sprintf("%.1f%%", v[0])
-				pr = fmt.Sprintf("%.2f", v[1])
-			}
-		}
-		tab.add(spec.String(),
-			fmt.Sprintf("%.2f", sum.MeanBIPS),
-			fmt.Sprintf("%.1f%%", sum.MeanDuty*100),
-			fmt.Sprintf("%.2f", t.Relative(spec)),
-			fmt.Sprintf("%.2f", t.SpeedupOverBase[spec]),
-			pd, pr)
-	}
-	return tab.String()
+	return t.renderSummary(fmt.Sprintf("Table %s: %s results", n, t.Kind), t.SpeedupOverBase)
 }
 
 // ---------------------------------------------------------------- fig7
@@ -325,25 +280,16 @@ func (f *Fig7Result) ID() string { return f.id }
 
 // RunFig7 reproduces Figure 7.
 func RunFig7(o Options) (*Fig7Result, error) {
-	cfg := o.simConfig()
 	dd := core.PolicySpec{Mechanism: core.DVFS, Scope: core.Distributed}
 	ddC := dd
 	ddC.Migration = core.CounterMigration
 	ddS := dd
 	ddS.Migration = core.SensorMigration
-
-	base, err := runPolicy(o, cfg, dd)
+	runs, err := runGrid(o, grid{policies: []core.PolicySpec{dd, ddC, ddS}})
 	if err != nil {
 		return nil, err
 	}
-	counter, err := runPolicy(o, cfg, ddC)
-	if err != nil {
-		return nil, err
-	}
-	sens, err := runPolicy(o, cfg, ddS)
-	if err != nil {
-		return nil, err
-	}
+	base, counter, sens := runs[0][0], runs[0][1], runs[0][2]
 	relC, err := metrics.PerWorkloadRelative(counter, base)
 	if err != nil {
 		return nil, err
@@ -380,7 +326,7 @@ type Table8Result struct{ *PolicyStudy }
 
 // RunTable8 reproduces Table 8.
 func RunTable8(o Options) (*Table8Result, error) {
-	study, err := runStudy(o, "table8", core.Taxonomy(), o.simConfig())
+	study, err := runStudy(o, "table8", core.Taxonomy())
 	if err != nil {
 		return nil, err
 	}
@@ -391,24 +337,12 @@ func RunTable8(o Options) (*Table8Result, error) {
 func (t *Table8Result) Render() string {
 	tab := newTable("Table 8: relative instruction throughput of all 12 policy combinations",
 		"policy", "rel. throughput", "paper")
-	paper8 := map[string]string{
-		"Global stop-go": "0.62", "Global DVFS": "2.1",
-		"Dist. stop-go": "baseline", "Dist. DVFS": "2.5",
-		"Global stop-go + counter-based migration": "1.2",
-		"Global DVFS + counter-based migration":    "2.2",
-		"Dist. stop-go + counter-based migration":  "2",
-		"Dist. DVFS + counter-based migration":     "2.6",
-		"Global stop-go + sensor-based migration":  "1.2",
-		"Global DVFS + sensor-based migration":     "2.1",
-		"Dist. stop-go + sensor-based migration":   "2.1",
-		"Dist. DVFS + sensor-based migration":      "2.6",
-	}
 	for _, spec := range t.Specs {
-		rel := fmt.Sprintf("%.2f", t.Relative(spec))
+		rel, paper := fmt.Sprintf("%.2f", t.Relative(spec)), fmt.Sprintf("%g", paperRefs[spec].table8)
 		if spec == core.Baseline {
-			rel = "baseline"
+			rel, paper = "baseline", "baseline"
 		}
-		tab.add(spec.String(), rel, paper8[spec.String()])
+		tab.add(spec.String(), rel, paper)
 	}
 	return tab.String()
 }
@@ -436,19 +370,15 @@ func RunSensitivity(o Options) (*SensitivityResult, error) {
 		DutyAt84:  map[core.PolicySpec]units.ScaleFactor{},
 		DutyAt100: map[core.PolicySpec]units.ScaleFactor{},
 	}
-	base, err := runStudy(o, "sens84", specs, o.simConfig())
+	hot := o.simConfig()
+	hot.Policy.ThresholdC = 100
+	runs, err := runGrid(o, grid{variants: []sim.Config{o.simConfig(), hot}, policies: specs})
 	if err != nil {
 		return nil, err
 	}
-	cfg := o.simConfig()
-	cfg.Policy.ThresholdC = 100
-	hot, err := runStudy(o, "sens100", specs, cfg)
-	if err != nil {
-		return nil, err
-	}
-	for _, spec := range specs {
-		out.DutyAt84[spec] = base.Summary[spec].MeanDuty
-		out.DutyAt100[spec] = hot.Summary[spec].MeanDuty
+	for p, spec := range specs {
+		out.DutyAt84[spec] = metrics.Summarize(spec.String(), runs[0][p]).MeanDuty
+		out.DutyAt100[spec] = metrics.Summarize(spec.String(), runs[1][p]).MeanDuty
 	}
 	return out, nil
 }
@@ -498,41 +428,17 @@ func (d *DutyValidityResult) ID() string { return d.id }
 
 // RunDutyValidity reproduces the §5.3 check using distributed DVFS.
 func RunDutyValidity(o Options) (*DutyValidityResult, error) {
-	cfg := o.simConfig()
-	mixes := o.workloads()
-	out := &DutyValidityResult{
-		id:        "dutyvalid",
-		Workloads: make([]string, len(mixes)),
-		Predicted: make([]units.ScaleFactor, len(mixes)),
-		Achieved:  make([]units.ScaleFactor, len(mixes)),
-	}
-	spec := core.PolicySpec{Mechanism: core.DVFS, Scope: core.Distributed}
-	err := parallel.ForEach(context.Background(), o.Parallelism, len(mixes),
-		func(_ context.Context, i int) error {
-			mix := mixes[i]
-			r, err := sim.New(cfg, mix, spec)
-			if err != nil {
-				return err
-			}
-			constrained, err := r.Run()
-			if err != nil {
-				return err
-			}
-			u, err := sim.NewUnthrottled(cfg, mix)
-			if err != nil {
-				return err
-			}
-			free, err := u.Run()
-			if err != nil {
-				return err
-			}
-			out.Workloads[i] = mix.Name
-			out.Predicted[i] = constrained.DutyCycle()
-			out.Achieved[i] = units.ScaleFactor(float64(constrained.BIPS()) / float64(free.BIPS()))
-			return nil
-		})
+	dd := core.PolicySpec{Mechanism: core.DVFS, Scope: core.Distributed}
+	runs, err := runGrid(o, grid{policies: []core.PolicySpec{dd, dtmOff}})
 	if err != nil {
 		return nil, err
+	}
+	out := &DutyValidityResult{id: "dutyvalid"}
+	for i, mix := range o.workloads() {
+		constrained, free := runs[0][0][i], runs[0][1][i]
+		out.Workloads = append(out.Workloads, mix.Name)
+		out.Predicted = append(out.Predicted, constrained.DutyCycle())
+		out.Achieved = append(out.Achieved, units.ScaleFactor(float64(constrained.BIPS())/float64(free.BIPS())))
 	}
 	return out, nil
 }

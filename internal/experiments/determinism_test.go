@@ -6,12 +6,56 @@ import (
 	"multitherm/internal/workload"
 )
 
-// TestParallelismDoesNotChangeResults is the determinism guard for the
-// sweep engine: the same study run sequentially and with a saturated
-// worker pool must render byte-identical reports. Any drift here means
-// shared mutable state leaked between cells (a template mutated, a
-// cache returned a non-deterministic value, a result slotted by arrival
-// order) and would silently corrupt every parallel reproduction.
+// determinismCases are the grids both determinism guards render twice.
+// Beyond the two policy studies they cover every artifact whose lanes
+// differ in more than policy and mix: DTM-off lanes batched with
+// throttled ones (dutyvalid), two thresholds in one grid
+// (sensitivity), capped and uncapped configs sharing one template
+// (hetero), and time-shared lanes on the sparse 4x4 grid (manycore).
+// Three mixes make the 8- and 10-wide batches straddle the variant
+// boundary, so those batches hold lanes of both configs.
+var determinismCases = []struct {
+	name string
+	opt  Options
+	run  func(Options) (Result, error)
+}{
+	{
+		name: "fig3",
+		opt:  Options{SimTime: 0.02, Workloads: workload.Mixes[:3]},
+		run:  func(o Options) (Result, error) { return RunFig3(o) },
+	},
+	{
+		name: "table8",
+		opt:  Options{SimTime: 0.01, Workloads: workload.Mixes[:2]},
+		run:  func(o Options) (Result, error) { return RunTable8(o) },
+	},
+	{
+		name: "fig7",
+		opt:  Options{SimTime: 0.01, Workloads: workload.Mixes[:3]},
+		run:  func(o Options) (Result, error) { return RunFig7(o) },
+	},
+	{
+		name: "dutyvalid",
+		opt:  Options{SimTime: 0.01, Workloads: workload.Mixes[:3]},
+		run:  func(o Options) (Result, error) { return RunDutyValidity(o) },
+	},
+	{
+		name: "sensitivity",
+		opt:  Options{SimTime: 0.01, Workloads: workload.Mixes[:3]},
+		run:  func(o Options) (Result, error) { return RunSensitivity(o) },
+	},
+	{
+		name: "hetero",
+		opt:  Options{SimTime: 0.01, Workloads: workload.Mixes[:3]},
+		run:  func(o Options) (Result, error) { return RunHetero(o) },
+	},
+	{
+		name: "manycore",
+		opt:  Options{SimTime: 0.01},
+		run:  func(o Options) (Result, error) { return RunManycore(o) },
+	},
+}
+
 // TestBatchingDoesNotChangeResults is the determinism guard for the
 // lockstep batch engine: the same study at -batch 1 (every cell runs
 // its own thermal model) and at -batch 8 (cells fused through the
@@ -23,23 +67,7 @@ func TestBatchingDoesNotChangeResults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full studies twice")
 	}
-	cases := []struct {
-		name string
-		opt  Options
-		run  func(Options) (Result, error)
-	}{
-		{
-			name: "fig3",
-			opt:  Options{SimTime: 0.02, Workloads: workload.Mixes[:3]},
-			run:  func(o Options) (Result, error) { return RunFig3(o) },
-		},
-		{
-			name: "table8",
-			opt:  Options{SimTime: 0.01, Workloads: workload.Mixes[:2]},
-			run:  func(o Options) (Result, error) { return RunTable8(o) },
-		},
-	}
-	for _, tc := range cases {
+	for _, tc := range determinismCases {
 		t.Run(tc.name, func(t *testing.T) {
 			unbatched := tc.opt
 			unbatched.Batch = 1
@@ -96,27 +124,17 @@ func TestRaggedBatchesUnderStealingDoNotChangeResults(t *testing.T) {
 	}
 }
 
+// TestParallelismDoesNotChangeResults is the determinism guard for the
+// sweep engine: the same study run sequentially and with a saturated
+// worker pool must render byte-identical reports. Any drift here means
+// shared mutable state leaked between cells (a template mutated, a
+// cache returned a non-deterministic value, a result slotted by arrival
+// order) and would silently corrupt every parallel reproduction.
 func TestParallelismDoesNotChangeResults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full studies twice")
 	}
-	cases := []struct {
-		name string
-		opt  Options
-		run  func(Options) (Result, error)
-	}{
-		{
-			name: "fig3",
-			opt:  Options{SimTime: 0.02, Workloads: workload.Mixes[:3]},
-			run:  func(o Options) (Result, error) { return RunFig3(o) },
-		},
-		{
-			name: "table8",
-			opt:  Options{SimTime: 0.01, Workloads: workload.Mixes[:2]},
-			run:  func(o Options) (Result, error) { return RunTable8(o) },
-		},
-	}
-	for _, tc := range cases {
+	for _, tc := range determinismCases {
 		t.Run(tc.name, func(t *testing.T) {
 			seq := tc.opt
 			seq.Parallelism = 1

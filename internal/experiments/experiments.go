@@ -34,11 +34,11 @@ type Options struct {
 	SimTime units.Seconds
 	// Workloads restricts the workload set (nil = all 12).
 	Workloads []workload.Mix
-	// Parallelism bounds the worker pool that fans independent
-	// (policy, workload) cells out across CPUs: 0 uses GOMAXPROCS,
-	// 1 runs sequentially. Results are deterministic — identical at
-	// any parallelism level — because every cell is independent and
-	// results are slotted by index, not arrival order.
+	// Parallelism bounds the worker pool that fans independent grid
+	// cells out across CPUs: 0 uses GOMAXPROCS, 1 runs sequentially.
+	// Results are deterministic — identical at any parallelism level —
+	// because every cell is independent and results are slotted by
+	// index, not arrival order.
 	Parallelism int
 	// Batch is the lockstep batch width: cells sharing one thermal
 	// propagator — same template and control period — are stepped
@@ -84,24 +84,98 @@ func (o Options) batchSize() int {
 	return sim.DefaultBatchSize()
 }
 
-// runCell executes one (policy, workload) cell.
-func runCell(cfg sim.Config, mix workload.Mix, spec core.PolicySpec) (*metrics.Run, error) {
-	r, err := sim.New(cfg, mix, spec)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: %s on %s: %w", spec, mix.Name, err)
+// mixes is the option's paper workload set as a grid population axis.
+func (o Options) mixes() []population {
+	ms := o.workloads()
+	out := make([]population, len(ms))
+	for i, m := range ms {
+		out[i] = population{name: m.Name, mix: m}
 	}
-	m, err := r.Run()
-	if err != nil {
-		return nil, fmt.Errorf("experiments: %s on %s: %w", spec, mix.Name, err)
-	}
-	return m, nil
+	return out
 }
 
-// cell is one (config, workload, policy) simulation of a study.
+// population is one workload of a grid: a paper mix, one benchmark
+// pinned per core (sim.New), or — when procs is set — a process list
+// the OS time-shares across the cores (sim.NewTimeshared).
+type population struct {
+	name  string
+	mix   workload.Mix
+	procs []string
+}
+
+// dtmOff is the grid policy that runs a paper mix with DTM disabled
+// (sim.NewUnthrottled): the unconstrained reference of the §5.3
+// duty-cycle validation. Its mechanism lies outside the taxonomy, so no
+// policy cell equals it.
+var dtmOff = core.PolicySpec{Mechanism: -1}
+
+// grid declares the simulations behind one artifact: every config
+// variant × policy × population combination is one cell. A nil variant
+// axis runs the options' config and a nil population axis the options'
+// workload mixes.
+type grid struct {
+	variants []sim.Config
+	policies []core.PolicySpec
+	pops     []population
+}
+
+// runGrid runs every cell of g through one runCells call and returns
+// the metrics as runs[variant][policy][population].
+func runGrid(o Options, g grid) ([][][]*metrics.Run, error) {
+	if g.variants == nil {
+		g.variants = []sim.Config{o.simConfig()}
+	}
+	if g.pops == nil {
+		g.pops = o.mixes()
+	}
+	cells := make([]cell, 0, len(g.variants)*len(g.policies)*len(g.pops))
+	for _, cfg := range g.variants {
+		for _, policy := range g.policies {
+			for _, pop := range g.pops {
+				cells = append(cells, cell{cfg: cfg, policy: policy, pop: pop})
+			}
+		}
+	}
+	flat, err := runCells(o, cells)
+	if err != nil {
+		return nil, err
+	}
+	runs := make([][][]*metrics.Run, len(g.variants))
+	for v := range runs {
+		runs[v] = make([][]*metrics.Run, len(g.policies))
+		for p := range runs[v] {
+			runs[v][p], flat = flat[:len(g.pops)], flat[len(g.pops):]
+		}
+	}
+	return runs, nil
+}
+
+// cell is one (config, policy, population) simulation of a grid.
 type cell struct {
-	cfg  sim.Config
-	mix  workload.Mix
-	spec core.PolicySpec
+	cfg    sim.Config
+	policy core.PolicySpec
+	pop    population
+}
+
+// newRunner builds the cell's simulation with the runner kind its
+// policy and population call for.
+func (c cell) newRunner() (*sim.Runner, error) {
+	var r *sim.Runner
+	var err error
+	policy := c.policy.String()
+	switch {
+	case c.policy == dtmOff:
+		policy = "DTM off"
+		r, err = sim.NewUnthrottled(c.cfg, c.pop.mix)
+	case c.pop.procs != nil:
+		r, err = sim.NewTimeshared(c.cfg, c.pop.name, c.pop.procs, c.policy, 0)
+	default:
+		r, err = sim.New(c.cfg, c.pop.mix, c.policy)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("experiments: %s on %s: %w", policy, c.pop.name, err)
+	}
+	return r, nil
 }
 
 // batchKey identifies the shared propagator a cell steps through:
@@ -152,7 +226,7 @@ func runCells(o Options, cells []cell) ([]*metrics.Run, error) {
 	for i, c := range cells {
 		tmpl, err := thermal.TemplateFor(c.cfg.Floorplan, c.cfg.Thermal)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: %s on %s: %w", c.spec, c.mix.Name, err)
+			return nil, fmt.Errorf("experiments: %s on %s: %w", c.policy, c.pop.name, err)
 		}
 		k := batchKey{tmpl: tmpl, dt: c.cfg.Policy.SamplePeriod}
 		g, seen := groups[k]
@@ -174,10 +248,10 @@ func runCells(o Options, cells []cell) ([]*metrics.Run, error) {
 	taskGroup := make([]*cellGroup, 0, len(cells))
 	for _, g := range order {
 		simTime := float64(cells[g.idx[0]].cfg.SimTime)
-		for _, span := range parallel.Chunks(len(g.idx), size) {
+		for left := len(g.idx); left > 0; left -= size {
 			tasks = append(tasks, parallel.Task{
 				Index: len(tasks),
-				Cost:  float64(span[1]-span[0]) * simTime,
+				Cost:  float64(min(left, size)) * simTime,
 			})
 			taskGroup = append(taskGroup, g)
 		}
@@ -187,24 +261,14 @@ func runCells(o Options, cells []cell) ([]*metrics.Run, error) {
 	err := parallel.RunTasks(context.Background(), o.Parallelism, tasks,
 		func(_ context.Context, ti int) error {
 			idx := taskGroup[ti].claim(size, make([]int, 0, size))
-			switch len(idx) {
-			case 0:
+			if len(idx) == 0 {
 				return nil // group drained by earlier claimers
-			case 1:
-				c := cells[idx[0]]
-				m, err := runCell(c.cfg, c.mix, c.spec)
-				if err != nil {
-					return err
-				}
-				runs[idx[0]] = m
-				return nil
 			}
 			runners := make([]*sim.Runner, len(idx))
 			for j, ci := range idx {
-				c := cells[ci]
-				r, err := sim.New(c.cfg, c.mix, c.spec)
+				r, err := cells[ci].newRunner()
 				if err != nil {
-					return fmt.Errorf("experiments: %s on %s: %w", c.spec, c.mix.Name, err)
+					return err
 				}
 				runners[j] = r
 			}
@@ -225,17 +289,6 @@ func runCells(o Options, cells []cell) ([]*metrics.Run, error) {
 		return nil, err
 	}
 	return runs, nil
-}
-
-// runPolicy executes one policy over the option's workload set through
-// the batched cell engine. Result order matches the workload order.
-func runPolicy(o Options, cfg sim.Config, spec core.PolicySpec) ([]*metrics.Run, error) {
-	mixes := o.workloads()
-	cells := make([]cell, len(mixes))
-	for i, mix := range mixes {
-		cells[i] = cell{cfg: cfg, mix: mix, spec: spec}
-	}
-	return runCells(o, cells)
 }
 
 // Result is the common interface of all experiment outputs.

@@ -72,20 +72,15 @@ func RunHetero(o Options) (*HeteroResult, error) {
 		Homo:  map[core.PolicySpec]metrics.Summary{},
 		Het:   map[core.PolicySpec]metrics.Summary{},
 	}
-	for _, spec := range specs {
-		runs, err := runPolicy(o, o.simConfig(), spec)
-		if err != nil {
-			return nil, err
-		}
-		out.Homo[spec] = metrics.Summarize(spec.String(), runs)
-
-		cfg := o.simConfig()
-		cfg.CoreMaxScale = []units.ScaleFactor{1, 1, 0.7, 0.7}
-		runs, err = runPolicy(o, cfg, spec)
-		if err != nil {
-			return nil, err
-		}
-		out.Het[spec] = metrics.Summarize(spec.String(), runs)
+	het := o.simConfig()
+	het.CoreMaxScale = []units.ScaleFactor{1, 1, 0.7, 0.7}
+	runs, err := runGrid(o, grid{variants: []sim.Config{o.simConfig(), het}, policies: specs})
+	if err != nil {
+		return nil, err
+	}
+	for p, spec := range specs {
+		out.Homo[spec] = metrics.Summarize(spec.String(), runs[0][p])
+		out.Het[spec] = metrics.Summarize(spec.String(), runs[1][p])
 	}
 	return out, nil
 }
@@ -143,15 +138,18 @@ func (s *SweepResult) Render() string {
 
 func runSweep(o Options, id, knob string, spec core.PolicySpec,
 	labels []string, mutate func(idx int, cfg *sim.Config)) (*SweepResult, error) {
+	variants := make([]sim.Config, len(labels))
+	for i := range variants {
+		variants[i] = o.simConfig()
+		mutate(i, &variants[i])
+	}
+	runs, err := runGrid(o, grid{variants: variants, policies: []core.PolicySpec{spec}})
+	if err != nil {
+		return nil, err
+	}
 	out := &SweepResult{id: id, Knob: knob, Policy: spec, Labels: labels}
-	for i := range labels {
-		cfg := o.simConfig()
-		mutate(i, &cfg)
-		runs, err := runPolicy(o, cfg, spec)
-		if err != nil {
-			return nil, err
-		}
-		sum := metrics.Summarize(spec.String(), runs)
+	for v := range variants {
+		sum := metrics.Summarize(spec.String(), runs[v][0])
 		out.BIPS = append(out.BIPS, sum.MeanBIPS)
 		out.Duty = append(out.Duty, sum.MeanDuty)
 		out.Worst = append(out.Worst, sum.WorstTemp)

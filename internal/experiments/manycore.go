@@ -8,7 +8,6 @@ import (
 	"multitherm/internal/sim"
 	"multitherm/internal/thermal"
 	"multitherm/internal/units"
-	"multitherm/internal/workload"
 )
 
 // The many-core extension scales the paper's taxonomy from the fixed
@@ -55,19 +54,12 @@ func (o Options) manycoreSpec() floorplan.GridSpec {
 // RunManycore evaluates the headline policies on a generated grid.
 func RunManycore(o Options) (*ManycoreResult, error) {
 	spec := o.manycoreSpec()
-	fp, err := floorplan.Grid(spec)
+	cfg, procs, err := sim.GridConfig(spec)
 	if err != nil {
 		return nil, err
 	}
-	cfg := o.simConfig()
-	cfg.Floorplan = fp
-	cfg.Thermal = thermal.FitParams(fp)
-	scales := floorplan.GridCoreScales(spec)
-	cfg.CoreMaxScale = make([]units.ScaleFactor, len(scales))
-	for i, s := range scales {
-		cfg.CoreMaxScale[i] = units.ScaleFactor(s)
-	}
-
+	cfg.SimTime = o.simConfig().SimTime
+	fp := cfg.Floorplan
 	tmpl, err := thermal.TemplateFor(fp, cfg.Thermal)
 	if err != nil {
 		return nil, err
@@ -75,19 +67,6 @@ func RunManycore(o Options) (*ManycoreResult, error) {
 	d, err := tmpl.Discretization(cfg.Policy.SamplePeriod)
 	if err != nil {
 		return nil, err
-	}
-
-	// 3:2 process oversubscription, tiling the benchmark pool
-	// cyclically so every core class sees every behavior over time.
-	pool := workload.Benchmarks()
-	nCores := fp.NumCores()
-	nProcs := nCores + nCores/2
-	if nProcs < nCores {
-		nProcs = nCores
-	}
-	benchmarks := make([]string, nProcs)
-	for i := range benchmarks {
-		benchmarks[i] = pool[i%len(pool)]
 	}
 
 	out := &ManycoreResult{
@@ -99,15 +78,16 @@ func RunManycore(o Options) (*ManycoreResult, error) {
 			{Mechanism: core.DVFS, Scope: core.Distributed, Migration: core.SensorMigration},
 		},
 	}
-	for _, ps := range out.Specs {
-		r, err := sim.NewTimeshared(cfg, fp.Name, benchmarks, ps, 0)
-		if err != nil {
-			return nil, err
-		}
-		m, err := r.Run()
-		if err != nil {
-			return nil, err
-		}
+	runs, err := runGrid(o, grid{
+		variants: []sim.Config{cfg},
+		policies: out.Specs,
+		pops:     []population{{name: fp.Name, procs: procs}},
+	})
+	if err != nil {
+		return nil, err
+	}
+	for p := range out.Specs {
+		m := runs[0][p][0]
 		out.BIPS = append(out.BIPS, m.BIPS())
 		out.Duty = append(out.Duty, m.DutyCycle())
 		out.Migrations = append(out.Migrations, m.Migrations)

@@ -20,10 +20,6 @@ func (t *table) add(cells ...string) {
 	t.rows = append(t.rows, cells)
 }
 
-func (t *table) addf(format string, args ...any) {
-	t.add(strings.Split(fmt.Sprintf(format, args...), "|")...)
-}
-
 func (t *table) String() string {
 	widths := make([]int, len(t.headers))
 	for i, h := range t.headers {

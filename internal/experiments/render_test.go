@@ -26,17 +26,6 @@ func TestTableRendering(t *testing.T) {
 	}
 }
 
-func TestTableAddf(t *testing.T) {
-	tab := newTable("", "a", "b", "c")
-	tab.addf("%d|%s|%.1f", 7, "x", 2.5)
-	out := tab.String()
-	for _, want := range []string{"7", "x", "2.5"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("render missing %q:\n%s", want, out)
-		}
-	}
-}
-
 func TestTableTolerant(t *testing.T) {
 	// Rows with more cells than headers must not panic.
 	tab := newTable("t", "only")

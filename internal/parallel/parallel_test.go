@@ -133,73 +133,3 @@ func TestForEachZeroItems(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestRunGridCoversEveryCell(t *testing.T) {
-	const rows, cols = 9, 13
-	var hits [rows][cols]atomic.Int64
-	err := RunGrid(context.Background(), 8, rows, cols, func(_ context.Context, r, c int) error {
-		hits[r][c].Add(1)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			if n := hits[r][c].Load(); n != 1 {
-				t.Fatalf("cell (%d,%d) ran %d times", r, c, n)
-			}
-		}
-	}
-}
-
-func TestRunGridRowMajorIndexing(t *testing.T) {
-	var cells sync.Map
-	err := RunGrid(context.Background(), 1, 3, 4, func(_ context.Context, r, c int) error {
-		cells.Store([2]int{r, c}, true)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r := 0; r < 3; r++ {
-		for c := 0; c < 4; c++ {
-			if _, ok := cells.Load([2]int{r, c}); !ok {
-				t.Fatalf("cell (%d,%d) never ran", r, c)
-			}
-		}
-	}
-}
-
-func TestChunks(t *testing.T) {
-	cases := []struct {
-		n, size int
-		want    [][2]int
-	}{
-		{0, 4, nil},
-		{-3, 4, nil},
-		{10, 0, [][2]int{{0, 10}}},
-		{10, -1, [][2]int{{0, 10}}},
-		{10, 4, [][2]int{{0, 4}, {4, 8}, {8, 10}}},
-		{8, 4, [][2]int{{0, 4}, {4, 8}}},
-		{3, 4, [][2]int{{0, 3}}},
-		{1, 1, [][2]int{{0, 1}}},
-	}
-	for _, tc := range cases {
-		got := Chunks(tc.n, tc.size)
-		if len(got) != len(tc.want) {
-			t.Fatalf("Chunks(%d, %d) = %v, want %v", tc.n, tc.size, got, tc.want)
-		}
-		for i := range got {
-			if got[i] != tc.want[i] {
-				t.Fatalf("Chunks(%d, %d) = %v, want %v", tc.n, tc.size, got, tc.want)
-			}
-		}
-	}
-	// Spans must tile [0, n) exactly, in order.
-	for _, span := range Chunks(23, 5) {
-		if span[1] <= span[0] {
-			t.Fatalf("empty span %v", span)
-		}
-	}
-}

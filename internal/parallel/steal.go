@@ -1,7 +1,11 @@
 // Package parallel schedules simulation work across worker
 // goroutines: RunTasks/ForEach for bounded sweeps, Pool for the
-// serving stack. Every goroutine it spawns joins through a WaitGroup
-// on an explicit drain path — enforced by the lifecycle analyzer.
+// serving stack. Sweeps stay deterministic: work is identified by
+// index, results are slotted by index (never by arrival order), and
+// the first error — by index, not by time — cancels the remaining work
+// and is the one reported. Every goroutine the package spawns joins
+// through a WaitGroup on an explicit drain path — enforced by the
+// lifecycle analyzer.
 //
 //mtlint:lifecycle
 package parallel
@@ -90,13 +94,12 @@ func (d *deque) stealBottom() (Task, bool) {
 // above. workers <= 0 selects GOMAXPROCS. The call returns after all
 // started work has finished.
 //
-// Error semantics match ForEach: the failure with the lowest task
-// index is returned — a deterministic choice regardless of steal
-// interleaving — and the shared context is cancelled so still-running
-// calls can abort early. Tasks not yet started when a failure is
-// recorded may never run; on error, callers must treat every slot as
-// undefined. If the parent context is cancelled, its error is
-// returned.
+// On failure, the error with the lowest task index is returned — a
+// deterministic choice regardless of steal interleaving — and the
+// shared context is cancelled so still-running calls can abort early.
+// Tasks not yet started when a failure is recorded may never run; on
+// error, callers must treat every slot as undefined. If the parent
+// context is cancelled, its error is returned.
 func RunTasks(ctx context.Context, workers int, tasks []Task, fn func(ctx context.Context, i int) error) error {
 	n := len(tasks)
 	if n == 0 {
@@ -217,4 +220,19 @@ func RunTasks(ctx context.Context, workers int, tasks []Task, fn func(ctx contex
 	// Workers only cancel after recording an error, so a cancelled
 	// context with no recorded error means the parent was cancelled.
 	return ctx.Err()
+}
+
+// ForEach runs fn(ctx, i) for every i in [0, n) across at most
+// `workers` goroutines (<= 0 selects GOMAXPROCS). It is RunTasks with
+// one equal-cost task per index: a single worker runs the indices in
+// order, several are dealt them round-robin and steal the leftovers.
+// Error and cancellation semantics are RunTasks's: the lowest-index
+// failure is returned and cancels the shared context, and on error
+// every slot is undefined.
+func ForEach(ctx context.Context, workers, n int, fn func(ctx context.Context, i int) error) error {
+	tasks := make([]Task, max(n, 0))
+	for i := range tasks {
+		tasks[i].Index = i
+	}
+	return RunTasks(ctx, workers, tasks, fn)
 }

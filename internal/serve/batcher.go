@@ -207,41 +207,26 @@ func (b *batcher) dispatch(batch []*join) {
 	}
 }
 
-// runBatch executes one batch on a pool worker: single joins run the
-// plain sequential path, wider batches build fresh runners and step
-// them in lockstep through the shared propagator panel. Either path
-// produces bit-identical bytes for every lane.
+// runBatch executes one batch on a pool worker: it builds fresh
+// runners and steps them in lockstep through the shared propagator
+// panel (a one-lane batch runs Runner.Run's path inside
+// sim.BatchRunner). Every lane's bytes are bit-identical to a
+// sequential run.
 func runBatch(b *batcher, batch []*join) {
-	if len(batch) == 1 {
-		j := batch[0]
-		j.done <- runSingle(j.c)
-		return
-	}
-	runners := make([]*sim.Runner, len(batch))
-	for i, j := range batch {
+	live := make([]*sim.Runner, 0, len(batch))
+	liveJoins := make([]*join, 0, len(batch))
+	for _, j := range batch {
 		r, err := j.c.newRunner()
 		if err != nil {
 			// A lane that cannot even construct fails alone; the rest of
 			// the batch proceeds without it.
 			j.done <- joinResult{err: err}
-			runners[i] = nil
 			continue
 		}
-		runners[i] = r
+		live = append(live, r)
+		liveJoins = append(liveJoins, j)
 	}
-	live := make([]*sim.Runner, 0, len(batch))
-	liveJoins := make([]*join, 0, len(batch))
-	for i, r := range runners {
-		if r != nil {
-			live = append(live, r)
-			liveJoins = append(liveJoins, batch[i])
-		}
-	}
-	switch len(live) {
-	case 0:
-		return
-	case 1:
-		liveJoins[0].done <- runSingle(liveJoins[0].c)
+	if len(live) == 0 {
 		return
 	}
 	br, err := sim.NewBatchRunner(live)

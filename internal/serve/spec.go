@@ -12,7 +12,6 @@ import (
 	"multitherm/internal/floorplan"
 	"multitherm/internal/metrics"
 	"multitherm/internal/sim"
-	"multitherm/internal/thermal"
 	"multitherm/internal/units"
 	"multitherm/internal/workload"
 )
@@ -143,12 +142,13 @@ func (s *Server) resolveCell(spec CellSpec, defaultSimTime float64) (*cell, erro
 	return c, nil
 }
 
-// resolveGridCell binds a spec to a generated grid floorplan, the same
-// wiring experiments.RunManycore uses: fitted lumped-RC parameters,
-// per-class DVFS ceilings, and a 3:2 oversubscribed timeshared run over
-// the cyclically tiled benchmark pool. ParseGridSpec bounds each grid
-// dimension (and the cell product) before anything is allocated, so a
-// hostile "99999999x99999999" floorplan dies here with a 400.
+// resolveGridCell binds a spec to a generated grid floorplan through
+// sim.GridConfig, the wiring the manycore extension uses: fitted
+// lumped-RC parameters, per-class DVFS ceilings, and a 3:2
+// oversubscribed timeshared run over the cyclically tiled benchmark
+// pool. ParseGridSpec bounds each grid dimension (and the cell product)
+// before anything is allocated, so a hostile "99999999x99999999"
+// floorplan dies here with a 400.
 func (s *Server) resolveGridCell(spec CellSpec, simTime float64) (*cell, error) {
 	if strings.TrimSpace(spec.Workload) != "" {
 		return nil, fmt.Errorf("serve: floorplan cells run the tiled benchmark pool; workload must be empty, got %q", spec.Workload)
@@ -161,28 +161,11 @@ func (s *Server) resolveGridCell(spec CellSpec, simTime float64) (*cell, error) 
 	if err != nil {
 		return nil, err
 	}
-	fp, err := floorplan.Grid(gs)
+	cfg, benchmarks, err := sim.GridConfig(gs)
 	if err != nil {
 		return nil, err
 	}
-	cfg := sim.DefaultConfig()
 	cfg.SimTime = units.Seconds(simTime)
-	cfg.Floorplan = fp
-	cfg.Thermal = thermal.FitParams(fp)
-	scales := floorplan.GridCoreScales(gs)
-	cfg.CoreMaxScale = make([]units.ScaleFactor, len(scales))
-	for i, sc := range scales {
-		cfg.CoreMaxScale[i] = units.ScaleFactor(sc)
-	}
-	// 3:2 process oversubscription over the benchmark pool, tiled
-	// cyclically — the RunManycore workload model.
-	pool := workload.Benchmarks()
-	nCores := fp.NumCores()
-	nProcs := nCores + nCores/2
-	benchmarks := make([]string, nProcs)
-	for i := range benchmarks {
-		benchmarks[i] = pool[i%len(pool)]
-	}
 	c := &cell{
 		spec: CellSpec{
 			Policy:    policy.CLIName(),
@@ -192,7 +175,7 @@ func (s *Server) resolveGridCell(spec CellSpec, simTime float64) (*cell, error) 
 		cfg:        cfg,
 		policy:     policy,
 		benchmarks: benchmarks,
-		label:      fp.Name,
+		label:      cfg.Floorplan.Name,
 	}
 	c.key = cellKey(c.spec, float64(cfg.Policy.SamplePeriod), cfg.TraceIntervals)
 	return c, nil

@@ -42,9 +42,17 @@ func NewBatchRunner(runners []*Runner) (*BatchRunner, error) {
 }
 
 // Run executes all lanes to completion and returns their metrics in
-// lane order.
+// lane order. A one-lane batch has nothing to fuse, so it takes
+// Runner.Run's path: same metrics, same errors, no panel set-up.
 func (b *BatchRunner) Run() ([]*metrics.Run, error) {
 	k := len(b.runners)
+	if k == 1 {
+		m, err := b.runners[0].Run()
+		if err != nil {
+			return nil, err
+		}
+		return []*metrics.Run{m}, nil
+	}
 	states := make([]*tickState, k)
 	for l, r := range b.runners {
 		st, err := r.begin(false)

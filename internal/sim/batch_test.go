@@ -72,6 +72,39 @@ func requireRunsEqual(t *testing.T, lane int, got, want *metrics.Run) {
 	}
 }
 
+// requireBatchMatchesSequential runs the lanes one by one through
+// Runner.Run, then again as one BatchRunner, and requires bit-identical
+// metrics lane by lane.
+func requireBatchMatchesSequential(t *testing.T, lanes []batchLaneSpec) {
+	t.Helper()
+	want := make([]*metrics.Run, len(lanes))
+	for i, ls := range lanes {
+		m, err := newLaneRunner(t, ls).Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = m
+	}
+	runners := make([]*Runner, len(lanes))
+	for i, ls := range lanes {
+		runners[i] = newLaneRunner(t, ls)
+	}
+	br, err := NewBatchRunner(runners)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := br.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(lanes) {
+		t.Fatalf("batch of %d lanes returned %d results", len(lanes), len(got))
+	}
+	for i := range lanes {
+		requireRunsEqual(t, i, got[i], want[i])
+	}
+}
+
 // TestBatchRunnerMatchesSequential is the end-to-end determinism guard
 // of the batched sweep: a mixed 8-lane batch — different mechanisms,
 // scopes, migration policies, workloads, and one heterogeneous-cap
@@ -81,7 +114,7 @@ func TestBatchRunnerMatchesSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("eight full simulations twice over")
 	}
-	lanes := []batchLaneSpec{
+	requireBatchMatchesSequential(t, []batchLaneSpec{
 		{mix: "workload1", spec: core.Baseline},
 		{mix: "workload1", spec: core.PolicySpec{Mechanism: core.DVFS, Scope: core.Distributed}},
 		{mix: "workload7", spec: core.PolicySpec{Mechanism: core.DVFS, Scope: core.Global}},
@@ -90,32 +123,7 @@ func TestBatchRunnerMatchesSequential(t *testing.T) {
 		{mix: "workload8", spec: core.PolicySpec{Mechanism: core.StopGo, Scope: core.Global, Migration: core.SensorMigration}},
 		{mix: "workload2", spec: core.PolicySpec{Mechanism: core.DVFS, Scope: core.Distributed}, caps: []units.ScaleFactor{1, 1, 0.7, 0.7}},
 		{mix: "workload3", spec: core.PolicySpec{Mechanism: core.StopGo, Scope: core.Distributed}},
-	}
-
-	want := make([]*metrics.Run, len(lanes))
-	for i, ls := range lanes {
-		m, err := newLaneRunner(t, ls).Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = m
-	}
-
-	runners := make([]*Runner, len(lanes))
-	for i, ls := range lanes {
-		runners[i] = newLaneRunner(t, ls)
-	}
-	br, err := NewBatchRunner(runners)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := br.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range lanes {
-		requireRunsEqual(t, i, got[i], want[i])
-	}
+	})
 }
 
 // TestBatchRunnerRagged runs a 5-lane batch (not a multiple of the
@@ -123,39 +131,25 @@ func TestBatchRunnerMatchesSequential(t *testing.T) {
 // early-finishing lanes must seal their metrics while the rest keep
 // stepping, still bit-identical to sequential runs.
 func TestBatchRunnerRagged(t *testing.T) {
-	lanes := []batchLaneSpec{
+	requireBatchMatchesSequential(t, []batchLaneSpec{
 		{mix: "workload1", spec: core.PolicySpec{Mechanism: core.DVFS, Scope: core.Distributed}, simTime: 0.02},
 		{mix: "workload7", spec: core.PolicySpec{Mechanism: core.StopGo, Scope: core.Global}, simTime: 0.05},
 		{mix: "workload8", spec: core.Baseline, simTime: 0.03},
 		{mix: "workload2", spec: core.PolicySpec{Mechanism: core.DVFS, Scope: core.Global}, simTime: 0.05},
 		{mix: "workload3", spec: core.PolicySpec{Mechanism: core.DVFS, Scope: core.Distributed}, simTime: 0.01},
-	}
-	want := make([]*metrics.Run, len(lanes))
-	for i, ls := range lanes {
-		m, err := newLaneRunner(t, ls).Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = m
-	}
-	runners := make([]*Runner, len(lanes))
-	for i, ls := range lanes {
-		runners[i] = newLaneRunner(t, ls)
-	}
-	br, err := NewBatchRunner(runners)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := br.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range lanes {
-		if got[i].SimTime != want[i].SimTime {
-			t.Fatalf("lane %d: SimTime %v != %v", i, got[i].SimTime, want[i].SimTime)
-		}
-		requireRunsEqual(t, i, got[i], want[i])
-	}
+	})
+}
+
+// TestBatchRunnerOneLaneMatchesRun checks that a one-runner batch,
+// which takes Runner.Run's path, returns Runner.Run's metrics bit for
+// bit — for a capped DVFS lane and for a migrating stop-go lane.
+func TestBatchRunnerOneLaneMatchesRun(t *testing.T) {
+	requireBatchMatchesSequential(t, []batchLaneSpec{
+		{mix: "workload2", spec: core.PolicySpec{Mechanism: core.DVFS, Scope: core.Distributed}, caps: []units.ScaleFactor{1, 1, 0.7, 0.7}},
+	})
+	requireBatchMatchesSequential(t, []batchLaneSpec{
+		{mix: "workload8", spec: core.PolicySpec{Mechanism: core.StopGo, Scope: core.Global, Migration: core.SensorMigration}, simTime: 0.03},
+	})
 }
 
 // TestBatchRunnerRejectsMismatch checks the adoption-time guards.

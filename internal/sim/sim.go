@@ -71,6 +71,35 @@ func DefaultConfig() Config {
 	}
 }
 
+// GridConfig wires the paper-default configuration onto a generated
+// many-core grid, the setup the manycore extension and the server's
+// grid cells share: the grid floorplan, thermal parameters refitted to
+// its die, and the per-class DVFS ceilings. It also returns the grid's
+// process population for NewTimeshared: 3:2 oversubscription that
+// tiles the benchmark pool cyclically, so every core class sees every
+// behavior over time.
+func GridConfig(spec floorplan.GridSpec) (Config, []string, error) {
+	fp, err := floorplan.Grid(spec)
+	if err != nil {
+		return Config{}, nil, err
+	}
+	cfg := DefaultConfig()
+	cfg.Floorplan = fp
+	cfg.Thermal = thermal.FitParams(fp)
+	scales := floorplan.GridCoreScales(spec)
+	cfg.CoreMaxScale = make([]units.ScaleFactor, len(scales))
+	for i, s := range scales {
+		cfg.CoreMaxScale[i] = units.ScaleFactor(s)
+	}
+	pool := workload.Benchmarks()
+	nCores := fp.NumCores()
+	procs := make([]string, nCores+nCores/2)
+	for i := range procs {
+		procs[i] = pool[i%len(pool)]
+	}
+	return cfg, procs, nil
+}
+
 // Probe observes simulator state once per control tick; used to extract
 // time series such as Figure 5.
 type Probe func(now units.Seconds, tick int64, blockTemps units.TempVec, cmds []core.CoreCommand, assignment []int)
@@ -79,11 +108,10 @@ type Probe func(now units.Seconds, tick int64, blockTemps units.TempVec, cmds []
 type Runner struct {
 	cfg  Config
 	spec core.PolicySpec
-	mix  workload.Mix
 
 	// label names the run in metrics; benchNames lists the process
-	// population (== mix.Benchmarks for the paper's 4-process runs, a
-	// longer list under time-shared multiprogramming).
+	// population (one benchmark per core for the paper's 4-process
+	// runs, a longer list under time-shared multiprogramming).
 	label      string
 	benchNames []string
 	timeshared bool
@@ -96,6 +124,13 @@ type Runner struct {
 	migCtl  migration.Controller
 	cursors []*trace.Cursor
 
+	// coreBlocks[c] indexes core c's own floorplan blocks and
+	// sharedBlocks the shared structures, so the per-tick activity fill
+	// touches each block once instead of scanning the whole floorplan
+	// for every core.
+	coreBlocks   [][]int
+	sharedBlocks []int
+
 	nCores    int
 	prevScale []units.ScaleFactor
 	probe     Probe
@@ -103,6 +138,14 @@ type Runner struct {
 
 // New builds a runner for the given policy cell and workload mix.
 func New(cfg Config, mix workload.Mix, spec core.PolicySpec) (*Runner, error) {
+	return newRunner(cfg, spec, mix.Name, mix.Benchmarks[:], false, 0)
+}
+
+// newRunner is the constructor body New and NewTimeshared share. They
+// differ only in the OS scheduler: one process pinned per core, or a
+// time-shared population rotated every timeslice.
+func newRunner(cfg Config, spec core.PolicySpec, label string, benchmarks []string,
+	timeshared bool, timeslice float64) (*Runner, error) {
 	if cfg.SimTime <= 0 {
 		return nil, fmt.Errorf("sim: non-positive sim time")
 	}
@@ -122,8 +165,8 @@ func New(cfg Config, mix workload.Mix, spec core.PolicySpec) (*Runner, error) {
 		return nil, err
 	}
 	nCores := cfg.Floorplan.NumCores()
-	if nCores != len(mix.Benchmarks) {
-		return nil, fmt.Errorf("sim: %d cores but %d benchmarks", nCores, len(mix.Benchmarks))
+	if !timeshared && nCores != len(benchmarks) {
+		return nil, fmt.Errorf("sim: %d cores but %d benchmarks", nCores, len(benchmarks))
 	}
 	if len(cfg.CoreMaxScale) != 0 && len(cfg.CoreMaxScale) != nCores {
 		return nil, fmt.Errorf("sim: CoreMaxScale has %d entries for %d cores", len(cfg.CoreMaxScale), nCores)
@@ -135,14 +178,23 @@ func New(cfg Config, mix workload.Mix, spec core.PolicySpec) (*Runner, error) {
 	}
 
 	r := &Runner{
-		cfg: cfg, spec: spec, mix: mix,
-		label: mix.Name, benchNames: append([]string(nil), mix.Benchmarks[:]...),
-		model: model, calc: calc, bank: bank,
+		cfg: cfg, spec: spec,
+		label: label, benchNames: append([]string(nil), benchmarks...),
+		timeshared: timeshared,
+		model:      model, calc: calc, bank: bank,
 		nCores:    nCores,
 		prevScale: make([]units.ScaleFactor, nCores),
 	}
 	for i := range r.prevScale {
 		r.prevScale[i] = 1.0
+	}
+	r.coreBlocks = make([][]int, nCores)
+	for i, b := range cfg.Floorplan.Blocks {
+		if b.Core == floorplan.SharedCore {
+			r.sharedBlocks = append(r.sharedBlocks, i)
+		} else if b.Core >= 0 && b.Core < nCores {
+			r.coreBlocks[b.Core] = append(r.coreBlocks[b.Core], i)
+		}
 	}
 
 	// One looping trace per benchmark (Figure 2's Turandot + PowerTimer
@@ -156,7 +208,13 @@ func New(cfg Config, mix workload.Mix, spec core.PolicySpec) (*Runner, error) {
 		r.cursors = append(r.cursors, trace.NewCursor(tr))
 	}
 
-	r.sched = osched.NewScheduler(r.benchNames)
+	if timeshared {
+		if r.sched, err = osched.NewTimeshared(r.benchNames, nCores, timeslice); err != nil {
+			return nil, err
+		}
+	} else {
+		r.sched = osched.NewScheduler(r.benchNames)
+	}
 	if cfg.MigrationEpoch > 0 {
 		r.sched.SetEpoch(float64(cfg.MigrationEpoch))
 	}
@@ -246,14 +304,14 @@ func (r *Runner) averageTracePower() units.PowerVec {
 // per-block activity vector, weighted by the core's effective scale for
 // shared blocks.
 func (r *Runner) fillCoreActivity(activity, shared []float64, c int, s *uarch.Sample, effScale float64) {
-	for i, b := range r.cfg.Floorplan.Blocks {
-		if b.Core == c {
-			activity[i] = s.ActivityFor(b.Kind)
-		} else if b.Core == floorplan.SharedCore {
-			// Shared structures aggregate demand from all cores, scaled
-			// by how fast each core actually issues traffic.
-			shared[i] += s.ActivityFor(b.Kind) * effScale
-		}
+	blocks := r.cfg.Floorplan.Blocks
+	for _, i := range r.coreBlocks[c] {
+		activity[i] = s.ActivityFor(blocks[i].Kind)
+	}
+	// Shared structures aggregate demand from all cores, scaled by how
+	// fast each core actually issues traffic.
+	for _, i := range r.sharedBlocks {
+		shared[i] += s.ActivityFor(blocks[i].Kind) * effScale
 	}
 }
 

@@ -1,16 +1,8 @@
 package sim
 
 import (
-	"fmt"
-
 	"multitherm/internal/core"
-	"multitherm/internal/migration"
 	"multitherm/internal/osched"
-	"multitherm/internal/power"
-	"multitherm/internal/sensor"
-	"multitherm/internal/thermal"
-	"multitherm/internal/trace"
-	"multitherm/internal/units"
 )
 
 // NewTimeshared builds a runner for more processes than cores: the OS
@@ -19,71 +11,7 @@ import (
 // on whatever is running — the multiprogrammed situation the paper's §6
 // notes exists in any real system.
 func NewTimeshared(cfg Config, label string, benchmarks []string, spec core.PolicySpec, timeslice float64) (*Runner, error) {
-	if cfg.SimTime <= 0 {
-		return nil, fmt.Errorf("sim: non-positive sim time")
-	}
-	if cfg.TraceIntervals <= 0 {
-		return nil, fmt.Errorf("sim: non-positive trace length")
-	}
-	model, err := thermal.New(cfg.Floorplan, cfg.Thermal)
-	if err != nil {
-		return nil, err
-	}
-	calc, err := power.NewCalculator(cfg.Floorplan, cfg.Power)
-	if err != nil {
-		return nil, err
-	}
-	bank, err := sensor.CoreHotspots(cfg.Floorplan)
-	if err != nil {
-		return nil, err
-	}
-	nCores := cfg.Floorplan.NumCores()
-	r := &Runner{
-		cfg: cfg, spec: spec,
-		label: label, benchNames: append([]string(nil), benchmarks...),
-		timeshared: true,
-		model:      model, calc: calc, bank: bank,
-		nCores:    nCores,
-		prevScale: make([]units.ScaleFactor, nCores),
-	}
-	for i := range r.prevScale {
-		r.prevScale[i] = 1.0
-	}
-	for _, b := range benchmarks {
-		tr, err := recordedTrace(cfg.Uarch, b, cfg.TraceIntervals)
-		if err != nil {
-			return nil, err
-		}
-		r.cursors = append(r.cursors, trace.NewCursor(tr))
-	}
-	r.sched, err = osched.NewTimeshared(benchmarks, nCores, timeslice)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.MigrationEpoch > 0 {
-		r.sched.SetEpoch(float64(cfg.MigrationEpoch))
-	}
-	if cfg.MigrationPenalty > 0 {
-		r.sched.SetPenalty(float64(cfg.MigrationPenalty))
-	}
-	switch spec.Mechanism {
-	case core.StopGo:
-		r.throt, err = core.NewStopGo(cfg.Policy, spec.Scope, bank, nCores)
-	case core.DVFS:
-		r.throt, err = core.NewDVFS(cfg.Policy, spec.Scope, bank, nCores)
-	default:
-		err = fmt.Errorf("sim: unknown mechanism %v", spec.Mechanism)
-	}
-	if err != nil {
-		return nil, err
-	}
-	switch spec.Migration {
-	case core.CounterMigration:
-		r.migCtl = migration.NewCounterBased()
-	case core.SensorMigration:
-		r.migCtl = migration.NewSensorBased(r.sched.NumProcesses(), nCores)
-	}
-	return r, nil
+	return newRunner(cfg, spec, label, benchmarks, true, timeslice)
 }
 
 // Scheduler exposes the OS model (for fairness inspection in tests and

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"multitherm/internal/core"
+	"multitherm/internal/units"
 )
 
 func sixBench() []string {
@@ -17,6 +18,33 @@ func TestTimesharedRejectsBadInputs(t *testing.T) {
 	}
 	if _, err := NewTimeshared(cfg, "x", []string{"gzip", "doom3", "mcf", "vpr", "art"}, core.Baseline, 0); err == nil {
 		t.Error("unknown benchmark accepted")
+	}
+}
+
+// TestConstructorsRejectBadCoreCaps checks that the paper-mix and
+// time-shared constructors validate CoreMaxScale alike: a cap slice
+// must match the core count and every cap must lie in [Limits.Min, 1].
+func TestConstructorsRejectBadCoreCaps(t *testing.T) {
+	cases := []struct {
+		name string
+		caps []units.ScaleFactor
+	}{
+		{"too few entries", []units.ScaleFactor{1, 1, 0.7}},
+		{"too many entries", []units.ScaleFactor{1, 1, 0.7, 0.7, 0.7}},
+		{"below the DVFS floor", []units.ScaleFactor{1, 1, 0.1, 0.1}},
+		{"above nominal", []units.ScaleFactor{1, 1, 1.5, 1}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := quickCfg()
+			cfg.CoreMaxScale = tc.caps
+			if _, err := New(cfg, mustMix(t, "workload1"), core.Baseline); err == nil {
+				t.Error("New accepted the caps")
+			}
+			if _, err := NewTimeshared(cfg, "x", sixBench(), core.Baseline, 0); err == nil {
+				t.Error("NewTimeshared accepted the caps")
+			}
+		})
 	}
 }
 
