@@ -239,7 +239,7 @@ func BenchmarkThermalStepFlat(b *testing.B) {
 }
 
 // benchSweepWorkers runs a fixed specs×workloads study through the
-// work-stealing scheduler at the given worker count; compare ns/op
+// sweep scheduler at the given worker count; compare ns/op
 // across BenchmarkSweepWorkers{1,2,4,8} to see the scaling curve of
 // the sweep engine on this machine in one `go test -bench
 // SweepWorkers` invocation. Scaling past GOMAXPROCS is flat by

@@ -33,7 +33,7 @@ func main() {
 	quick := flag.Bool("quick", false, "reduced-fidelity simulations")
 	list := flag.Bool("list", false, "list reproducible artifacts and exit")
 	simtime := flag.Float64("simtime", 0, "simulated silicon time per run in seconds (default 0.5)")
-	workersFlag := flag.Int("workers", 0, "worker count for the work-stealing cell scheduler (0 = all CPUs, 1 = sequential; results identical at any count)")
+	workersFlag := flag.Int("workers", 0, "worker count for the cell scheduler (0 = all CPUs, 1 = sequential; results identical at any count)")
 	batch := flag.Int("batch", 0, "lockstep batch width for cells sharing one thermal propagator (0 = auto-size from cache, 1 = no batching; results identical at any width)")
 	ablations := flag.Bool("ablations", false, "also run the beyond-the-paper extension/ablation artifacts")
 	gridFlag := flag.String("floorplan", "", "generated grid for the manycore artifact, as RxC (e.g. 16x16 for 256 cores)")

@@ -90,13 +90,12 @@ func TestBatchingDoesNotChangeResults(t *testing.T) {
 }
 
 // TestRaggedBatchesUnderStealingDoNotChangeResults crosses the two
-// axes the work-stealing engine mixes at runtime: odd batch widths that
-// never divide the (Template, dt) group sizes evenly (so every group
-// ends in a ragged tail), and several worker counts (so concurrent
-// claimers split groups at scheduling-dependent boundaries). Whatever
-// partition the claim interleaving produces, the rendered study must be
-// byte-identical to the sequential unbatched run — the PR 3 bit-equality
-// guarantee, now load-bearing for dynamic batch formation.
+// axes the batch engine mixes at runtime: odd batch widths that never
+// divide the (Template, dt) group sizes evenly (so every group ends in
+// a ragged tail), and several worker counts (so batches of one group
+// run concurrently and finish in scheduling-dependent order). The
+// rendered study must be byte-identical to the sequential unbatched
+// run — the batched-equals-sequential bit-equality guarantee.
 func TestRaggedBatchesUnderStealingDoNotChangeResults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full studies repeatedly")

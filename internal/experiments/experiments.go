@@ -15,14 +15,12 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync/atomic"
 
 	"multitherm/internal/core"
 	"multitherm/internal/floorplan"
 	"multitherm/internal/metrics"
 	"multitherm/internal/parallel"
 	"multitherm/internal/sim"
-	"multitherm/internal/thermal"
 	"multitherm/internal/units"
 	"multitherm/internal/workload"
 )
@@ -178,92 +176,46 @@ func (c cell) newRunner() (*sim.Runner, error) {
 	return r, nil
 }
 
-// batchKey identifies the shared propagator a cell steps through:
-// templates are memoized singletons, so pointer identity plus the
-// control period decides whether two cells can run in lockstep.
-type batchKey struct {
-	tmpl *thermal.Template
-	dt   units.Seconds
-}
-
-// cellGroup is one shared-propagator family of cells. Workers claim
-// cells off the group one at a time through the atomic cursor, so a
-// batch is whatever a worker gathered when it was ready to run — lanes
-// join as cells arrive instead of waiting behind a precut chunk
-// boundary, and two workers can drain one big group concurrently, each
-// forming its own lockstep unit. Batch composition therefore depends
-// on scheduling, but the results never do: batched stepping is
-// bit-identical to sequential stepping (sim.BatchRunner's contract)
-// at any width and any partition.
-type cellGroup struct {
-	idx []int // cell indices sharing (Template, dt)
-	cur atomic.Int64
-}
-
-// claim removes up to max cell indices from the group's head.
-func (g *cellGroup) claim(max int, dst []int) []int {
-	for len(dst) < max {
-		i := g.cur.Add(1) - 1
-		if i >= int64(len(g.idx)) {
-			break
-		}
-		dst = append(dst, g.idx[i])
-	}
-	return dst
-}
-
 // runCells executes the given cells and slots each result at its input
-// index. Cells are grouped by shared propagator in first-seen order and
-// the work-stealing pool schedules batch-forming tasks, weighted by the
-// simulated time they cover, so the biggest (Template, dt) families
-// start first and a straggler group cannot hold the sweep open alone.
-// Every task claims up to one batch width of cells from its group's
-// cursor and runs them as one lockstep unit; results are independent of
-// parallelism, batch width, and claim interleaving alike.
+// index. Cells are grouped by sim.BatchKey in first-seen order and each
+// group is cut into batch-width runs of consecutive cells up front, one
+// lockstep unit per task. Tasks are weighted by the simulated time they
+// cover, so the biggest batches start first and a straggler cannot hold
+// the sweep open alone. Batch composition depends only on the cells and
+// the width, never on scheduling; results are independent of both,
+// because batched stepping is bit-identical to sequential stepping
+// (sim.BatchRunner's contract).
 func runCells(o Options, cells []cell) ([]*metrics.Run, error) {
-	groups := map[batchKey]*cellGroup{}
-	var order []*cellGroup
+	groups := map[sim.BatchKey][]int{}
+	var keys []sim.BatchKey
 	for i, c := range cells {
-		tmpl, err := thermal.TemplateFor(c.cfg.Floorplan, c.cfg.Thermal)
+		k, err := sim.BatchKeyOf(c.cfg)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s on %s: %w", c.policy, c.pop.name, err)
 		}
-		k := batchKey{tmpl: tmpl, dt: c.cfg.Policy.SamplePeriod}
-		g, seen := groups[k]
-		if !seen {
-			g = &cellGroup{}
-			groups[k] = g
-			order = append(order, g)
+		if _, seen := groups[k]; !seen {
+			keys = append(keys, k)
 		}
-		g.idx = append(g.idx, i)
+		groups[k] = append(groups[k], i)
 	}
 	size := o.batchSize()
-
-	// One task per prospective batch. Tasks of one group are
-	// interchangeable — each claims whatever cells remain — so their
-	// count only guarantees enough claimers to drain the group; a task
-	// arriving after its group is empty is a no-op. Cost estimates
-	// weight each claim by the simulated seconds it will advance.
+	var batches [][]int
 	var tasks []parallel.Task
-	taskGroup := make([]*cellGroup, 0, len(cells))
-	for _, g := range order {
-		simTime := float64(cells[g.idx[0]].cfg.SimTime)
-		for left := len(g.idx); left > 0; left -= size {
-			tasks = append(tasks, parallel.Task{
-				Index: len(tasks),
-				Cost:  float64(min(left, size)) * simTime,
-			})
-			taskGroup = append(taskGroup, g)
+	for _, k := range keys {
+		idx := groups[k]
+		simTime := float64(cells[idx[0]].cfg.SimTime)
+		for len(idx) > 0 {
+			n := min(len(idx), size)
+			tasks = append(tasks, parallel.Task{Index: len(batches), Cost: float64(n) * simTime})
+			batches = append(batches, idx[:n])
+			idx = idx[n:]
 		}
 	}
 
 	runs := make([]*metrics.Run, len(cells))
 	err := parallel.RunTasks(context.Background(), o.Parallelism, tasks,
-		func(_ context.Context, ti int) error {
-			idx := taskGroup[ti].claim(size, make([]int, 0, size))
-			if len(idx) == 0 {
-				return nil // group drained by earlier claimers
-			}
+		func(_ context.Context, bi int) error {
+			idx := batches[bi]
 			runners := make([]*sim.Runner, len(idx))
 			for j, ci := range idx {
 				r, err := cells[ci].newRunner()

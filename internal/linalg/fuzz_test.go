@@ -84,9 +84,10 @@ func FuzzMulAddInto(f *testing.F) {
 	})
 }
 
-// FuzzMulBatchInto is the differential target for fusedTickBatch64,
-// fusedTickBatch56, and fusedTickBatch56x4 (lane counts reach 8, so
-// quad groups plus every remainder width are exercised). Three oracles:
+// FuzzMulBatchInto is the differential target for MulBatchInto's SIMD
+// dispatch: fusedTickBatch56x4 on whole quads of lanes with at most 56
+// rows, fusedTick64 on every other lane (lane counts reach 8, so quad
+// groups plus every remainder width are exercised). Three oracles:
 // per lane, the batched kernel must be bit-identical to sequential
 // MulAddInto calls (documented contract — same operation kind and
 // column order) and must match the generic twin mulAddGeneric within
@@ -97,8 +98,8 @@ func FuzzMulAddInto(f *testing.F) {
 // (cols) and padded (stride).
 func FuzzMulBatchInto(f *testing.F) {
 	f.Add(int64(1), int64(8), int64(6), int64(3), false)
-	f.Add(int64(2), int64(64), int64(64), int64(4), true) // 64-row kernel
-	f.Add(int64(3), int64(56), int64(55), int64(7), true) // 56-row kernel, odd lane count
+	f.Add(int64(2), int64(64), int64(64), int64(4), true) // above 56 rows: every lane single
+	f.Add(int64(3), int64(56), int64(55), int64(7), true) // one quad plus a 3-lane remainder
 	f.Add(int64(4), int64(56), int64(55), int64(1), false)
 	f.Add(int64(5), int64(40), int64(3), int64(2), false) // ragged: narrow operand, tight x
 	f.Fuzz(func(t *testing.T, seed, rowsIn, colsIn, lanesIn int64, padX bool) {

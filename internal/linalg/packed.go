@@ -139,8 +139,8 @@ func (p *Packed) mulAddGeneric(y, bias, x []float64) {
 //
 // Unlike MulAddInto, entries past Rows in each y lane are unspecified
 // on return: when the live rows fit in seven of the eight ZMM chunks
-// (Rows ≤ 56) the kernel skips the all-zero padding chunk entirely
-// and never writes it.
+// (Rows ≤ 56) the quad kernel skips the all-zero padding chunk
+// entirely and never writes it.
 //
 //mtlint:zeroalloc
 func (p *Packed) MulBatchInto(y, bias []float64, k int, x []float64, xStride int) {
@@ -152,36 +152,31 @@ func (p *Packed) MulBatchInto(y, bias []float64, k int, x []float64, xStride int
 		p.badMulBatchArgs(len(y), len(bias), k, len(x), xStride)
 	}
 	if p.SIMDAccelerated() && p.cols > 0 {
+		// Whole groups of four lanes run the quad kernel, where each
+		// 512-byte propagator column read from memory feeds four lanes'
+		// FMA chains. Every other lane runs the single-lane kernel: the
+		// 1–3 lane remainder, and every lane of an operand with more
+		// than 56 rows, which the quad kernel's seven row chunks do not
+		// cover.
+		l := 0
 		if p.rows <= 56 {
-			// Quad-lane kernel for whole groups of four: each 512-byte
-			// propagator column read from memory feeds four lanes' FMA
-			// chains, halving the operand traffic of the pair kernel.
-			// The remainder (1–3 lanes) runs the pair kernel, offset past
-			// the quads' panels.
-			q := k &^ 3
-			if q > 0 {
-				fusedTickBatch56x4(&p.data[0], p.cols, &x[0], xStride, &bias[0], &y[0], q)
+			l = k &^ 3
+			if l > 0 {
+				fusedTickBatch56x4(&p.data[0], p.cols, &x[0], xStride, &bias[0], &y[0], l)
 			}
-			if rem := k - q; rem > 0 {
-				if q == 0 {
-					fusedTickBatch56(&p.data[0], p.cols, &x[0], xStride, &bias[0], &y[0], k)
-				} else {
-					fusedTickBatch56(&p.data[0], p.cols, &x[q*xStride], xStride,
-						&bias[q*p.stride], &y[q*p.stride], rem)
-				}
-			}
-		} else {
-			fusedTickBatch64(&p.data[0], p.cols, &x[0], xStride, &bias[0], &y[0], k)
+		}
+		for ; l < k; l++ {
+			fusedTick64(&p.data[0], p.cols, &x[l*xStride], &bias[l*p.stride], &y[l*p.stride])
 		}
 		return
 	}
 	p.mulBatchGeneric(y, bias, k, x, xStride)
 }
 
-// mulBatchGeneric is the portable multi-lane twin of the batched SIMD
-// kernels and the MulBatchInto fallback on machines without them. Lanes
-// are walked in blocks of four so each packed column is read from
-// memory once per block instead of once per lane — the same register
+// mulBatchGeneric is the portable multi-lane twin of MulBatchInto's
+// SIMD dispatch and its fallback on machines without it. Lanes are
+// walked in blocks of four so each packed column is read from memory
+// once per block instead of once per lane — the same register
 // blocking the quad asm kernel performs, expressed as four concurrent
 // axpy updates the compiler can keep in registers. Per lane the
 // operation kind and column order are exactly mulAddGeneric's (bias

@@ -158,15 +158,18 @@ func TestPackedPanics(t *testing.T) {
 
 // TestMulBatchIntoMatchesSequential is the bit-identity guard of the
 // batched tick: every lane of a MulBatchInto panel must equal the
-// corresponding MulAddInto result exactly — not to tolerance — for odd
-// and even lane counts (the kernel pairs lanes, so odd k exercises the
-// trailing single-lane path) and for both padded and tight x strides.
+// corresponding MulAddInto result exactly — not to tolerance — for
+// padded and tight x strides and for every kernel route: whole quads
+// (k = 4, 8), quads plus a 1–3 lane single-lane remainder (5, 6, 7,
+// 10), remainders alone (1–3), operands at and past the quad kernel's
+// 56-row limit (56, 57, 64, which run lane by lane above 56) and past
+// the packed stride (70, generic).
 func TestMulBatchIntoMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
-	for _, rows := range []int{55, 8, 70} {
+	for _, rows := range []int{55, 56, 57, 64, 8, 70} {
 		p, _, _ := randomPacked(rng, rows, rows, 13)
 		stride := p.Stride()
-		for _, k := range []int{1, 2, 3, 5, 8} {
+		for _, k := range []int{1, 2, 3, 4, 5, 6, 7, 8, 10} {
 			for _, xStride := range []int{p.Cols(), p.Cols() + 9} {
 				x := make([]float64, (k-1)*xStride+p.Cols())
 				for j := range x {

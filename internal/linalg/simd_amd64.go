@@ -12,39 +12,20 @@ package linalg
 //go:noescape
 func fusedTick64(m *float64, cols int, x *float64, bias *float64, y *float64)
 
-// fusedTickBatch64 is the multi-lane (GEMM) form of fusedTick64: for
-// each lane l in [0,k) it computes y[l·64:] = bias[l·64:] + M·x[l·xStride:].
-// Lanes are walked in pairs so each 512-byte propagator column is
-// loaded into registers once and feeds two lanes' FMA chains; per lane
-// the operation sequence is identical to fusedTick64's, so batched and
-// sequential ticks are bit-identical. Implemented in simd_amd64.s.
-//
-//mtlint:generic mulAddGeneric tested-by FuzzMulBatchInto
-//go:noescape
-func fusedTickBatch64(m *float64, cols int, x *float64, xStride int, bias *float64, y *float64, k int)
-
-// fusedTickBatch56 is fusedTickBatch64 specialized for operands whose
-// live rows fit in seven ZMM chunks (Rows ≤ 56): the top padding chunk
-// of every column is provably zero, so the kernel skips ~12% of the
-// FMA stream and leaves rows 56–63 of each y lane unwritten. Live rows
-// keep fusedTick64's exact operation sequence. Implemented in
-// simd_amd64.s.
-//
-//mtlint:generic mulAddGeneric tested-by FuzzMulBatchInto
-//go:noescape
-func fusedTickBatch56(m *float64, cols int, x *float64, xStride int, bias *float64, y *float64, k int)
-
-// fusedTickBatch56x4 is the quad-lane widening of fusedTickBatch56: k
-// must be a positive multiple of four, and each group of four lanes
-// shares every 512-byte propagator column read. The seven row chunks
-// are register-blocked into two passes over the columns — chunks 0–3
-// (16 accumulators) then chunks 4–6 (12 accumulators) — so 4×7 = 28
-// accumulators never have to coexist in the 32 ZMM registers; the
-// operand row-block touched by a pass stays resident across all four
-// lanes. Per lane and per row the FMA sequence is still ascending
-// column order, exactly fusedTick64's, so bit-identity with the
-// sequential kernel is preserved. Like fusedTickBatch56, rows 56–63 of
-// every y lane are unspecified on return. Implemented in simd_amd64.s.
+// fusedTickBatch56x4 is the quad-lane GEMM form of fusedTick64 for
+// operands whose live rows fit in seven ZMM chunks (Rows ≤ 56): for
+// each lane l in [0,k) it computes y[l·64:] = bias[l·64:] +
+// M·x[l·xStride:]. k must be a positive multiple of four, and each
+// group of four lanes shares every 512-byte propagator column read.
+// The seven row chunks are register-blocked into two passes over the
+// columns — chunks 0–3 (16 accumulators) then chunks 4–6 (12
+// accumulators) — so 4×7 = 28 accumulators never have to coexist in
+// the 32 ZMM registers; the operand row-block touched by a pass stays
+// resident across all four lanes. Per lane and per row the FMA
+// sequence is still ascending column order, exactly fusedTick64's, so
+// bit-identity with the sequential kernel is preserved. The all-zero
+// padding chunk is skipped, so rows 56–63 of every y lane are
+// unspecified on return. Implemented in simd_amd64.s.
 //
 //mtlint:generic mulBatchGeneric tested-by FuzzMulBatchInto
 //go:noescape

@@ -86,363 +86,17 @@ done:
 	VZEROUPPER
 	RET
 
-// func fusedTickBatch64(m *float64, cols int, x *float64, xStride int, bias *float64, y *float64, k int)
-//
-// For each lane l in [0,k):
-//
-//	y[l·64 : l·64+64] = bias[l·64 : l·64+64] + Σ_j x[l·xStride+j] · m[j·64 : j·64+64]
-//
-// The GEMM form of fusedTick64: lanes are processed in pairs, with the
-// eight ZMM chunks of each propagator column loaded into Z16–Z23 once
-// and feeding both lanes' FMA chains (Z0–Z7 accumulate lane A, Z8–Z15
-// lane B), so the matrix streams through the load ports half as often
-// as two independent fusedTick64 passes. An odd trailing lane runs the
-// single-lane loop. Per lane the FMA sequence — column order, operand
-// rounding — is exactly fusedTick64's, which keeps batched ticks
-// bit-identical to sequential ones. cols must be > 0 (the Go wrapper
-// routes cols == 0 to the generic copy path).
-TEXT ·fusedTickBatch64(SB), NOSPLIT, $0-56
-	MOVQ m+0(FP), SI
-	MOVQ cols+8(FP), CX
-	MOVQ x+16(FP), DX
-	MOVQ xStride+24(FP), R9
-	MOVQ bias+32(FP), BX
-	MOVQ y+40(FP), DI
-	MOVQ k+48(FP), R8
-
-	SHLQ $3, R9              // x lane stride, bytes
-
-pairloop:
-	CMPQ R8, $2
-	JLT  lanetail
-
-	// Seed both lanes' accumulators from their bias columns.
-	VMOVUPD (BX), Z0
-	VMOVUPD 64(BX), Z1
-	VMOVUPD 128(BX), Z2
-	VMOVUPD 192(BX), Z3
-	VMOVUPD 256(BX), Z4
-	VMOVUPD 320(BX), Z5
-	VMOVUPD 384(BX), Z6
-	VMOVUPD 448(BX), Z7
-	VMOVUPD 512(BX), Z8
-	VMOVUPD 576(BX), Z9
-	VMOVUPD 640(BX), Z10
-	VMOVUPD 704(BX), Z11
-	VMOVUPD 768(BX), Z12
-	VMOVUPD 832(BX), Z13
-	VMOVUPD 896(BX), Z14
-	VMOVUPD 960(BX), Z15
-
-	MOVQ SI, R10             // propagator column cursor
-	MOVQ DX, R11             // lane A input cursor
-	LEAQ (DX)(R9*1), R12     // lane B input cursor
-	MOVQ CX, AX
-
-paircol:
-	VMOVUPD      (R10), Z16
-	VMOVUPD      64(R10), Z17
-	VMOVUPD      128(R10), Z18
-	VMOVUPD      192(R10), Z19
-	VMOVUPD      256(R10), Z20
-	VMOVUPD      320(R10), Z21
-	VMOVUPD      384(R10), Z22
-	VMOVUPD      448(R10), Z23
-	VBROADCASTSD (R11), Z24
-	VBROADCASTSD (R12), Z25
-	VFMADD231PD  Z16, Z24, Z0
-	VFMADD231PD  Z17, Z24, Z1
-	VFMADD231PD  Z18, Z24, Z2
-	VFMADD231PD  Z19, Z24, Z3
-	VFMADD231PD  Z20, Z24, Z4
-	VFMADD231PD  Z21, Z24, Z5
-	VFMADD231PD  Z22, Z24, Z6
-	VFMADD231PD  Z23, Z24, Z7
-	VFMADD231PD  Z16, Z25, Z8
-	VFMADD231PD  Z17, Z25, Z9
-	VFMADD231PD  Z18, Z25, Z10
-	VFMADD231PD  Z19, Z25, Z11
-	VFMADD231PD  Z20, Z25, Z12
-	VFMADD231PD  Z21, Z25, Z13
-	VFMADD231PD  Z22, Z25, Z14
-	VFMADD231PD  Z23, Z25, Z15
-	ADDQ         $512, R10
-	ADDQ         $8, R11
-	ADDQ         $8, R12
-	DECQ         AX
-	JNZ          paircol
-
-	VMOVUPD Z0, (DI)
-	VMOVUPD Z1, 64(DI)
-	VMOVUPD Z2, 128(DI)
-	VMOVUPD Z3, 192(DI)
-	VMOVUPD Z4, 256(DI)
-	VMOVUPD Z5, 320(DI)
-	VMOVUPD Z6, 384(DI)
-	VMOVUPD Z7, 448(DI)
-	VMOVUPD Z8, 512(DI)
-	VMOVUPD Z9, 576(DI)
-	VMOVUPD Z10, 640(DI)
-	VMOVUPD Z11, 704(DI)
-	VMOVUPD Z12, 768(DI)
-	VMOVUPD Z13, 832(DI)
-	VMOVUPD Z14, 896(DI)
-	VMOVUPD Z15, 960(DI)
-
-	ADDQ $1024, BX
-	ADDQ $1024, DI
-	LEAQ (DX)(R9*2), DX
-	SUBQ $2, R8
-	JMP  pairloop
-
-lanetail:
-	TESTQ R8, R8
-	JZ    batchdone
-
-	// Single trailing lane: fusedTick64's memory-operand loop.
-	VMOVUPD (BX), Z0
-	VMOVUPD 64(BX), Z1
-	VMOVUPD 128(BX), Z2
-	VMOVUPD 192(BX), Z3
-	VMOVUPD 256(BX), Z4
-	VMOVUPD 320(BX), Z5
-	VMOVUPD 384(BX), Z6
-	VMOVUPD 448(BX), Z7
-
-	MOVQ SI, R10
-	MOVQ DX, R11
-	MOVQ CX, AX
-
-tailcol:
-	VBROADCASTSD (R11), Z8
-	VFMADD231PD  (R10), Z8, Z0
-	VFMADD231PD  64(R10), Z8, Z1
-	VFMADD231PD  128(R10), Z8, Z2
-	VFMADD231PD  192(R10), Z8, Z3
-	VFMADD231PD  256(R10), Z8, Z4
-	VFMADD231PD  320(R10), Z8, Z5
-	VFMADD231PD  384(R10), Z8, Z6
-	VFMADD231PD  448(R10), Z8, Z7
-	ADDQ         $512, R10
-	ADDQ         $8, R11
-	DECQ         AX
-	JNZ          tailcol
-
-	VMOVUPD Z0, (DI)
-	VMOVUPD Z1, 64(DI)
-	VMOVUPD Z2, 128(DI)
-	VMOVUPD Z3, 192(DI)
-	VMOVUPD Z4, 256(DI)
-	VMOVUPD Z5, 320(DI)
-	VMOVUPD Z6, 384(DI)
-	VMOVUPD Z7, 448(DI)
-
-batchdone:
-	VZEROUPPER
-	RET
-
-// func fusedTickBatch56(m *float64, cols int, x *float64, xStride int, bias *float64, y *float64, k int)
-//
-// fusedTickBatch64 specialized for operands with at most 56 live rows:
-// the top chunk of every 64-entry column is zero padding, so the
-// kernel runs seven ZMM chunks per column instead of eight and never
-// touches rows 56–63 of bias or y (their contents are unspecified on
-// return — callers must not read a lane's padding). For the live rows
-// the per-lane FMA sequence is exactly fusedTick64's, so bit-identity
-// with the sequential kernel is preserved; only work that provably
-// produces zeros is skipped (~12% of the FMA stream).
-TEXT ·fusedTickBatch56(SB), NOSPLIT, $0-56
-	MOVQ m+0(FP), SI
-	MOVQ cols+8(FP), CX
-	MOVQ x+16(FP), DX
-	MOVQ xStride+24(FP), R9
-	MOVQ bias+32(FP), BX
-	MOVQ y+40(FP), DI
-	MOVQ k+48(FP), R8
-
-	SHLQ $3, R9              // x lane stride, bytes
-
-pairloop56:
-	CMPQ R8, $2
-	JLT  lanetail56
-
-	// Seed both lanes' seven accumulator chunks from their bias columns.
-	VMOVUPD (BX), Z0
-	VMOVUPD 64(BX), Z1
-	VMOVUPD 128(BX), Z2
-	VMOVUPD 192(BX), Z3
-	VMOVUPD 256(BX), Z4
-	VMOVUPD 320(BX), Z5
-	VMOVUPD 384(BX), Z6
-	VMOVUPD 512(BX), Z8
-	VMOVUPD 576(BX), Z9
-	VMOVUPD 640(BX), Z10
-	VMOVUPD 704(BX), Z11
-	VMOVUPD 768(BX), Z12
-	VMOVUPD 832(BX), Z13
-	VMOVUPD 896(BX), Z14
-
-	MOVQ SI, R10             // propagator column cursor
-	MOVQ DX, R11             // lane A input cursor
-	LEAQ (DX)(R9*1), R12     // lane B input cursor
-
-	// Two columns per iteration: the second column's loads issue while
-	// the first column's FMA chains drain, and the loop overhead halves.
-	MOVQ CX, AX
-	SHRQ $1, AX
-	JZ   pairodd56
-
-paircol56:
-	VMOVUPD      (R10), Z16
-	VMOVUPD      64(R10), Z17
-	VMOVUPD      128(R10), Z18
-	VMOVUPD      192(R10), Z19
-	VMOVUPD      256(R10), Z20
-	VMOVUPD      320(R10), Z21
-	VMOVUPD      384(R10), Z22
-	VBROADCASTSD (R11), Z24
-	VBROADCASTSD (R12), Z25
-	VFMADD231PD  Z16, Z24, Z0
-	VFMADD231PD  Z17, Z24, Z1
-	VFMADD231PD  Z18, Z24, Z2
-	VFMADD231PD  Z19, Z24, Z3
-	VFMADD231PD  Z20, Z24, Z4
-	VFMADD231PD  Z21, Z24, Z5
-	VFMADD231PD  Z22, Z24, Z6
-	VFMADD231PD  Z16, Z25, Z8
-	VFMADD231PD  Z17, Z25, Z9
-	VFMADD231PD  Z18, Z25, Z10
-	VFMADD231PD  Z19, Z25, Z11
-	VFMADD231PD  Z20, Z25, Z12
-	VFMADD231PD  Z21, Z25, Z13
-	VFMADD231PD  Z22, Z25, Z14
-	VMOVUPD      512(R10), Z16
-	VMOVUPD      576(R10), Z17
-	VMOVUPD      640(R10), Z18
-	VMOVUPD      704(R10), Z19
-	VMOVUPD      768(R10), Z20
-	VMOVUPD      832(R10), Z21
-	VMOVUPD      896(R10), Z22
-	VBROADCASTSD 8(R11), Z26
-	VBROADCASTSD 8(R12), Z27
-	VFMADD231PD  Z16, Z26, Z0
-	VFMADD231PD  Z17, Z26, Z1
-	VFMADD231PD  Z18, Z26, Z2
-	VFMADD231PD  Z19, Z26, Z3
-	VFMADD231PD  Z20, Z26, Z4
-	VFMADD231PD  Z21, Z26, Z5
-	VFMADD231PD  Z22, Z26, Z6
-	VFMADD231PD  Z16, Z27, Z8
-	VFMADD231PD  Z17, Z27, Z9
-	VFMADD231PD  Z18, Z27, Z10
-	VFMADD231PD  Z19, Z27, Z11
-	VFMADD231PD  Z20, Z27, Z12
-	VFMADD231PD  Z21, Z27, Z13
-	VFMADD231PD  Z22, Z27, Z14
-	ADDQ         $1024, R10
-	ADDQ         $16, R11
-	ADDQ         $16, R12
-	DECQ         AX
-	JNZ          paircol56
-
-pairodd56:
-	TESTQ $1, CX
-	JZ    pairstore56
-	VMOVUPD      (R10), Z16
-	VMOVUPD      64(R10), Z17
-	VMOVUPD      128(R10), Z18
-	VMOVUPD      192(R10), Z19
-	VMOVUPD      256(R10), Z20
-	VMOVUPD      320(R10), Z21
-	VMOVUPD      384(R10), Z22
-	VBROADCASTSD (R11), Z24
-	VBROADCASTSD (R12), Z25
-	VFMADD231PD  Z16, Z24, Z0
-	VFMADD231PD  Z17, Z24, Z1
-	VFMADD231PD  Z18, Z24, Z2
-	VFMADD231PD  Z19, Z24, Z3
-	VFMADD231PD  Z20, Z24, Z4
-	VFMADD231PD  Z21, Z24, Z5
-	VFMADD231PD  Z22, Z24, Z6
-	VFMADD231PD  Z16, Z25, Z8
-	VFMADD231PD  Z17, Z25, Z9
-	VFMADD231PD  Z18, Z25, Z10
-	VFMADD231PD  Z19, Z25, Z11
-	VFMADD231PD  Z20, Z25, Z12
-	VFMADD231PD  Z21, Z25, Z13
-	VFMADD231PD  Z22, Z25, Z14
-
-pairstore56:
-
-	VMOVUPD Z0, (DI)
-	VMOVUPD Z1, 64(DI)
-	VMOVUPD Z2, 128(DI)
-	VMOVUPD Z3, 192(DI)
-	VMOVUPD Z4, 256(DI)
-	VMOVUPD Z5, 320(DI)
-	VMOVUPD Z6, 384(DI)
-	VMOVUPD Z8, 512(DI)
-	VMOVUPD Z9, 576(DI)
-	VMOVUPD Z10, 640(DI)
-	VMOVUPD Z11, 704(DI)
-	VMOVUPD Z12, 768(DI)
-	VMOVUPD Z13, 832(DI)
-	VMOVUPD Z14, 896(DI)
-
-	ADDQ $1024, BX
-	ADDQ $1024, DI
-	LEAQ (DX)(R9*2), DX
-	SUBQ $2, R8
-	JMP  pairloop56
-
-lanetail56:
-	TESTQ R8, R8
-	JZ    batchdone56
-
-	// Single trailing lane, seven chunks.
-	VMOVUPD (BX), Z0
-	VMOVUPD 64(BX), Z1
-	VMOVUPD 128(BX), Z2
-	VMOVUPD 192(BX), Z3
-	VMOVUPD 256(BX), Z4
-	VMOVUPD 320(BX), Z5
-	VMOVUPD 384(BX), Z6
-
-	MOVQ SI, R10
-	MOVQ DX, R11
-	MOVQ CX, AX
-
-tailcol56:
-	VBROADCASTSD (R11), Z8
-	VFMADD231PD  (R10), Z8, Z0
-	VFMADD231PD  64(R10), Z8, Z1
-	VFMADD231PD  128(R10), Z8, Z2
-	VFMADD231PD  192(R10), Z8, Z3
-	VFMADD231PD  256(R10), Z8, Z4
-	VFMADD231PD  320(R10), Z8, Z5
-	VFMADD231PD  384(R10), Z8, Z6
-	ADDQ         $512, R10
-	ADDQ         $8, R11
-	DECQ         AX
-	JNZ          tailcol56
-
-	VMOVUPD Z0, (DI)
-	VMOVUPD Z1, 64(DI)
-	VMOVUPD Z2, 128(DI)
-	VMOVUPD Z3, 192(DI)
-	VMOVUPD Z4, 256(DI)
-	VMOVUPD Z5, 320(DI)
-	VMOVUPD Z6, 384(DI)
-
-batchdone56:
-	VZEROUPPER
-	RET
-
 // func fusedTickBatch56x4(m *float64, cols int, x *float64, xStride int, bias *float64, y *float64, k int)
 //
-// Quad-lane form of fusedTickBatch56: k is a positive multiple of four
-// (the Go wrapper routes remainders to the pair kernel) and each group
-// of four lanes streams the propagator once. 4 lanes × 7 live chunks
+// For each lane l in [0,k), with at most 56 live rows:
+//
+//	y[l·64 : l·64+56] = bias[l·64 : l·64+56] + Σ_j x[l·xStride+j] · m[j·64 : j·64+56]
+//
+// The quad-lane GEMM form of fusedTick64: k is a positive multiple of
+// four (the Go wrapper routes remainder lanes to fusedTick64) and each
+// group of four lanes streams the propagator once. The top chunk of
+// every 64-entry column is zero padding, so only seven chunks run and
+// rows 56–63 of bias and y are never touched. 4 lanes × 7 live chunks
 // would need 28 accumulators, so the rows are register-blocked into two
 // passes over the columns:
 //

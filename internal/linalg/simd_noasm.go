@@ -11,18 +11,8 @@ func fusedTick64(m *float64, cols int, x *float64, bias *float64, y *float64) {
 	panic("linalg: fusedTick64 called without SIMD support")
 }
 
-// fusedTickBatch64 is never reached on non-amd64 or noasm builds:
-// MulBatchInto always takes the generic per-lane path.
-func fusedTickBatch64(m *float64, cols int, x *float64, xStride int, bias *float64, y *float64, k int) {
-	panic("linalg: fusedTickBatch64 called without SIMD support")
-}
-
-// fusedTickBatch56 is never reached on non-amd64 or noasm builds either.
-func fusedTickBatch56(m *float64, cols int, x *float64, xStride int, bias *float64, y *float64, k int) {
-	panic("linalg: fusedTickBatch56 called without SIMD support")
-}
-
-// fusedTickBatch56x4 is never reached on non-amd64 or noasm builds either.
+// fusedTickBatch56x4 is never reached on non-amd64 or noasm builds:
+// MulBatchInto always takes the generic blocked path.
 func fusedTickBatch56x4(m *float64, cols int, x *float64, xStride int, bias *float64, y *float64, k int) {
 	panic("linalg: fusedTickBatch56x4 called without SIMD support")
 }

@@ -1,11 +1,10 @@
 // Package sparse provides compressed-sparse-row matrices with
-// banded/blocked structure detection, zero-allocation SpMV/SpMM
-// kernels mirroring the packed dense API in internal/linalg, a
-// Jacobi-preconditioned conjugate-gradient solver, and a Krylov
-// (Arnoldi) matrix-exponential action. Together these let the thermal
-// model's exact-ZOH step cost scale with the nonzero count of the RC
-// conduction network instead of N², which is what makes 256-1024-node
-// generated floorplans tractable.
+// zero-allocation SpMV/SpMM kernels mirroring the packed dense API in
+// internal/linalg, a Jacobi-preconditioned conjugate-gradient solver,
+// and a Krylov (Arnoldi) matrix-exponential action. Together these let
+// the thermal model's exact-ZOH step cost scale with the nonzero count
+// of the RC conduction network instead of N², which is what makes
+// 256-1024-node generated floorplans tractable.
 //
 // Like internal/linalg, this package is deliberately unit-agnostic: it
 // operates on raw float64 slices and the callers own the unit

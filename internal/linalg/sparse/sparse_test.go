@@ -148,71 +148,6 @@ func TestNorm1MatchesDense(t *testing.T) {
 	}
 }
 
-func TestStructureOnTridiagonal(t *testing.T) {
-	n := 16
-	b := NewBuilder(n, n)
-	for i := 0; i < n; i++ {
-		b.Add(i, i, 2)
-		if i > 0 {
-			b.Add(i, i-1, -1)
-		}
-		if i < n-1 {
-			b.Add(i, i+1, -1)
-		}
-	}
-	a := b.Build()
-	s := a.Structure()
-	if s.Lower != 1 || s.Upper != 1 {
-		t.Fatalf("band = (%d, %d), want (1, 1)", s.Lower, s.Upper)
-	}
-	if s.BandOccupancy < 0.99 {
-		t.Errorf("occupancy = %g, want ~1 for a full tridiagonal", s.BandOccupancy)
-	}
-	bd, ok := a.ToBanded()
-	if !ok {
-		t.Fatal("ToBanded refused a tridiagonal matrix")
-	}
-	x := make([]float64, n)
-	for i := range x {
-		x[i] = float64(i%5) - 2
-	}
-	y1 := make([]float64, n)
-	y2 := make([]float64, n)
-	a.MulVecInto(y1, x)
-	bd.MulVecInto(y2, x)
-	for i := range y1 {
-		if math.Abs(y1[i]-y2[i]) > 1e-14 {
-			t.Errorf("banded y[%d] = %g, csr %g", i, y2[i], y1[i])
-		}
-	}
-}
-
-func TestStructureDetectsBlocks(t *testing.T) {
-	// 4x4 dense blocks on a 16x16 block-diagonal matrix.
-	b := NewBuilder(16, 16)
-	for blk := 0; blk < 4; blk++ {
-		for i := 0; i < 4; i++ {
-			for j := 0; j < 4; j++ {
-				b.Add(blk*4+i, blk*4+j, 1)
-			}
-		}
-	}
-	s := b.Build().Structure()
-	if s.BlockSize != 4 {
-		t.Errorf("BlockSize = %d, want 4", s.BlockSize)
-	}
-	// A scattered wide matrix should refuse banded conversion.
-	w := NewBuilder(32, 32)
-	w.Add(0, 31, 1)
-	w.Add(31, 0, 1)
-	for i := 0; i < 32; i++ {
-		w.Add(i, i, 1)
-	}
-	if _, ok := w.Build().ToBanded(); ok {
-		t.Error("ToBanded accepted a matrix with two full-width outliers")
-	}
-}
-
 func TestSolveCGMatchesDenseLU(t *testing.T) {
 	// SPD Laplacian-plus-diagonal system, the thermal G shape.
 	n := 30

@@ -85,9 +85,9 @@ func TestForEachErrorCancelsRemaining(t *testing.T) {
 		if i == 0 {
 			return sentinel
 		}
-		// Yield so every worker interleaves instead of draining its
-		// whole deque in one scheduler quantum; the cancellation check
-		// runs between tasks, so interleaved workers observe it early.
+		// Yield so every worker interleaves instead of draining the
+		// queue in one scheduler quantum; the cancellation check runs
+		// between tasks, so interleaved workers observe it early.
 		time.Sleep(10 * time.Microsecond)
 		return nil
 	})

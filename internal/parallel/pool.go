@@ -7,15 +7,12 @@ import (
 
 // Pool is the long-running counterpart of RunTasks: a fixed set of
 // workers draining a shared job queue for the lifetime of a server
-// rather than of one sweep. RunTasks's stealing deques earn their keep
-// when a sweep scatters thousands of fine-grained, raggedly-sized cells
-// across workers; a serving pool's unit of work is the opposite shape —
-// one already-formed lockstep batch, milliseconds of GEMM panels per
-// job — so a single FIFO under one mutex is touched orders of magnitude
-// less often than it is worked and a per-worker deque would only add
-// steal traffic. Fairness falls out of FIFO order: requests run in
-// arrival order, which also keeps tail latency under saturation an
-// honest function of queue depth.
+// rather than of one sweep. RunTasks knows every task and its cost up
+// front and starts the longest first; a server's jobs — one
+// already-formed lockstep batch each — arrive over time, so they run
+// from a single FIFO under one mutex. Fairness falls out of FIFO
+// order: requests run in arrival order, which also keeps tail latency
+// under saturation an honest function of queue depth.
 //
 // ErrPoolClosed aside, Submit never blocks and never sheds — admission
 // control belongs to the caller (the serve layer bounds in-flight work

@@ -6,17 +6,16 @@ import (
 	"sync/atomic"
 	"time"
 
+	"multitherm/internal/metrics"
 	"multitherm/internal/parallel"
 	"multitherm/internal/sim"
-	"multitherm/internal/thermal"
-	"multitherm/internal/units"
 )
 
 // The batcher promotes the sweep engine's per-group lockstep batching
-// (PR 3's GEMV→GEMM panels, PR 6's cursor-fed batch formation) from
-// per-process to cross-request scope: cells arriving from *different*
-// clients that share one (Template, dt) propagator are held for a
-// short batching window and then stepped together through one shared
+// (GEMV→GEMM panels over cells of one sim.BatchKey) from per-process
+// to cross-request scope: cells arriving from *different* clients that
+// share one (Template, dt) propagator are held for a short batching
+// window and then stepped together through one shared
 // thermal.BatchModel panel. The window trades a bounded, configurable
 // latency bump (default single-digit milliseconds) for the ~2× per-lane
 // GEMM win measured in BENCH_sweep.json — under concurrent load the
@@ -47,14 +46,6 @@ func newJoin(c *cell) *join {
 	return &join{c: c, done: make(chan joinResult, 1)}
 }
 
-// groupKey identifies the shared propagator a cell steps through, the
-// same (Template, dt) identity the sweep engine batches by: templates
-// are memoized singletons, so pointer identity is exact.
-type groupKey struct {
-	tmpl *thermal.Template
-	dt   units.Seconds
-}
-
 // group accumulates joins for one propagator family between flushes.
 type group struct {
 	b  *batcher
@@ -77,7 +68,7 @@ type batcher struct {
 
 	mu sync.Mutex
 	//mtlint:guardedby mu
-	groups map[groupKey]*group
+	groups map[sim.BatchKey]*group
 
 	// Counters for /v1/stats.
 	batches, lanes        atomic.Int64
@@ -94,7 +85,7 @@ func newBatcher(pool *parallel.Pool, width int, window time.Duration) *batcher {
 		pool:   pool,
 		width:  width,
 		window: window,
-		groups: map[groupKey]*group{},
+		groups: map[sim.BatchKey]*group{},
 	}
 }
 
@@ -104,11 +95,10 @@ func (b *batcher) enabled() bool { return b.window > 0 && b.width > 1 }
 
 // groupFor returns the group a cell batches under.
 func (b *batcher) groupFor(c *cell) (*group, error) {
-	tmpl, err := thermal.TemplateFor(c.cfg.Floorplan, c.cfg.Thermal)
+	k, err := sim.BatchKeyOf(c.cfg)
 	if err != nil {
 		return nil, err
 	}
-	k := groupKey{tmpl: tmpl, dt: c.cfg.Policy.SamplePeriod}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	g, ok := b.groups[k]
@@ -229,22 +219,17 @@ func runBatch(b *batcher, batch []*join) {
 	if len(live) == 0 {
 		return
 	}
+	var ms []*metrics.Run
 	br, err := sim.NewBatchRunner(live)
+	if err == nil {
+		ms, err = br.Run()
+	}
 	if err != nil {
 		// Lanes that cannot share a propagator (foreign template, odd
-		// sample period) fall back to sequential runs — same bytes, no
-		// coalescing win.
-		b.fallbackSingles.Add(int64(len(liveJoins)))
-		for _, j := range liveJoins {
-			j.done <- runSingle(j.c)
-		}
-		return
-	}
-	ms, err := br.Run()
-	if err != nil {
-		// A mid-run failure poisons the shared panels for every lane;
-		// rerun each cell alone so errors attribute per cell and healthy
-		// lanes still answer.
+		// sample period) and a mid-run failure, which poisons the shared
+		// panels for every lane, both fall back to sequential runs: the
+		// same bytes, with errors attributed per cell and healthy lanes
+		// still answering.
 		b.fallbackSingles.Add(int64(len(liveJoins)))
 		for _, j := range liveJoins {
 			j.done <- runSingle(j.c)

@@ -5,7 +5,27 @@ import (
 
 	"multitherm/internal/metrics"
 	"multitherm/internal/thermal"
+	"multitherm/internal/units"
 )
+
+// BatchKey identifies the thermal propagator a simulation steps
+// through: its template and its control period. Runners with equal
+// keys can share one BatchRunner. Templates are memoized singletons,
+// so pointer identity is exact, and the period must match exactly
+// because it fixes the discretization.
+type BatchKey struct {
+	tmpl *thermal.Template
+	dt   units.Seconds
+}
+
+// BatchKeyOf returns the batch key of every runner built from cfg.
+func BatchKeyOf(cfg Config) (BatchKey, error) {
+	tmpl, err := thermal.TemplateFor(cfg.Floorplan, cfg.Thermal)
+	if err != nil {
+		return BatchKey{}, err
+	}
+	return BatchKey{tmpl: tmpl, dt: cfg.Policy.SamplePeriod}, nil
+}
 
 // BatchRunner steps K independent runners in lockstep so their thermal
 // advances fuse into one shared-propagator panel update (GEMV → GEMM,
@@ -20,25 +40,25 @@ type BatchRunner struct {
 	runners []*Runner
 }
 
-// NewBatchRunner validates that the runners can share one propagator —
-// same thermal template and same control period — and adopts them.
-// Each runner must be fresh (not yet Run).
+// NewBatchRunner validates that the runners share one BatchKey — same
+// thermal template and same control period — and adopts them. Each
+// runner must be fresh (not yet Run).
 func NewBatchRunner(runners []*Runner) (*BatchRunner, error) {
 	if len(runners) == 0 {
 		return nil, fmt.Errorf("sim: empty batch")
 	}
-	tmpl := runners[0].model.Template
-	dt := runners[0].cfg.Policy.SamplePeriod
+	key := runners[0].batchKey()
 	for i, r := range runners {
-		if r.model.Template != tmpl {
-			return nil, fmt.Errorf("sim: batch lane %d (%s) uses a different thermal template", i, r.label)
-		}
-		if r.cfg.Policy.SamplePeriod != dt { //mtlint:allow floatcmp lanes must share the exact discretization grid; both sides units.Seconds, same dimension
-			return nil, fmt.Errorf("sim: batch lane %d (%s) uses sample period %g, batch uses %g",
-				i, r.label, r.cfg.Policy.SamplePeriod, dt)
+		if r.batchKey() != key {
+			return nil, fmt.Errorf("sim: batch lane %d (%s) uses a different thermal template or sample period than lane 0", i, r.label)
 		}
 	}
 	return &BatchRunner{runners: runners}, nil
+}
+
+// batchKey is BatchKeyOf(r.cfg), read off the runner's own model.
+func (r *Runner) batchKey() BatchKey {
+	return BatchKey{tmpl: r.model.Template, dt: r.cfg.Policy.SamplePeriod}
 }
 
 // Run executes all lanes to completion and returns their metrics in

@@ -141,10 +141,10 @@ func (b *BatchModel) SIMDAccelerated() bool { return b.d.SIMDAccelerated() }
 // when every lane is dirty — the simulator's steady pattern under
 // leakage-temperature feedback — the recompute itself runs as one
 // fused Ψ panel pass reading the power panel directly. Both panel
-// passes keep their operand matrix L1-resident across the lane pairs,
+// passes keep their operand matrix L1-resident across the lane groups,
 // which is why the update runs as two sweeps rather than one fused
 // [Ψ|Φ] pass: the concatenated operand would exceed L1 and re-stream
-// from L2 for every pair. Zero allocations.
+// from L2 for every group. Zero allocations.
 //
 //mtlint:zeroalloc
 func (b *BatchModel) Step() {

@@ -296,9 +296,8 @@ func NewTemplate(fp *floorplan.Floorplan, p Params) (*Template, error) {
 }
 
 // buildSparse assembles the CSR forms of the conductance matrix and
-// the transient generator from the indexed adjacency. Row neighbor
-// order comes out column-sorted, which the structure probes rely on;
-// the kernels only need consistency.
+// the transient generator from the indexed adjacency. The kernels need
+// only a consistent row order, which the Builder's column sort gives.
 func (t *Template) buildSparse() {
 	gb := sparse.NewBuilder(t.n, t.n)
 	ab := sparse.NewBuilder(t.n, t.n)
