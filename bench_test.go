@@ -1,17 +1,18 @@
 package multitherm
 
-// The benchmark harness regenerates every table and figure of the
-// paper's evaluation (run `go test -bench . -benchmem`), plus ablation
-// benches for the design choices DESIGN.md calls out. Benchmarks use
-// shortened simulations so a full -bench pass stays tractable; the
-// cmd/sweep binary runs the same experiments at full 0.5 s fidelity.
+// Kernel micro-benchmarks and ablation benches for the design choices
+// DESIGN.md calls out (run `go test -run '^$' -bench . .`). Each one
+// isolates a single layer; end-to-end timings of the paper's
+// artifacts come from perfbench's paper_sweep workload
+// (perfbench/README.md). Simulations are shortened so a full -bench
+// pass stays tractable.
 
 import (
+	"fmt"
 	"testing"
 
 	"multitherm/internal/control"
 	"multitherm/internal/core"
-	"multitherm/internal/experiments"
 	"multitherm/internal/floorplan"
 	"multitherm/internal/sensor"
 	"multitherm/internal/sim"
@@ -19,57 +20,6 @@ import (
 	"multitherm/internal/units"
 	"multitherm/internal/workload"
 )
-
-// benchOptions are the reduced-fidelity options used by table/figure
-// regeneration benches.
-func benchOptions() experiments.Options {
-	o := experiments.QuickOptions()
-	o.SimTime = 0.05
-	for _, n := range []string{"workload1", "workload7", "workload12"} {
-		m, err := workload.MixByName(n)
-		if err != nil {
-			panic(err)
-		}
-		o.Workloads = append(o.Workloads, m)
-	}
-	return o
-}
-
-func benchArtifact(b *testing.B, name string) {
-	b.Helper()
-	r, err := experiments.Find(name)
-	if err != nil {
-		b.Fatal(err)
-	}
-	opt := benchOptions()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := r.Run(opt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		_ = res.Render()
-	}
-}
-
-// --- one bench per paper table and figure ---
-
-func BenchmarkTable1(b *testing.B)      { benchArtifact(b, "table1") }
-func BenchmarkTable2(b *testing.B)      { benchArtifact(b, "table2") }
-func BenchmarkTable3(b *testing.B)      { benchArtifact(b, "table3") }
-func BenchmarkTable4(b *testing.B)      { benchArtifact(b, "table4") }
-func BenchmarkPIAnalysis(b *testing.B)  { benchArtifact(b, "pi") }
-func BenchmarkFig3(b *testing.B)        { benchArtifact(b, "fig3") }
-func BenchmarkTable5(b *testing.B)      { benchArtifact(b, "table5") }
-func BenchmarkFig5(b *testing.B)        { benchArtifact(b, "fig5") }
-func BenchmarkTable6(b *testing.B)      { benchArtifact(b, "table6") }
-func BenchmarkTable7(b *testing.B)      { benchArtifact(b, "table7") }
-func BenchmarkFig7(b *testing.B)        { benchArtifact(b, "fig7") }
-func BenchmarkTable8(b *testing.B)      { benchArtifact(b, "table8") }
-func BenchmarkSensitivity(b *testing.B) { benchArtifact(b, "sensitivity") }
-func BenchmarkDutyValidity(b *testing.B) {
-	benchArtifact(b, "dutyvalid")
-}
 
 // --- core kernel benches ---
 
@@ -182,9 +132,8 @@ func BenchmarkThermalStepBatch32(b *testing.B) { benchThermalStepBatch(b, 32) }
 // benchGridStep measures one exact tick on a generated Rows x Cols
 // grid in the simulator's dirty-power calling pattern (SetPower every
 // tick). The 2x2 grid (26 nodes) runs the dense packed path; 4x4, 8x8,
-// and 16x16 (74/266/1034 nodes) run the sparse Krylov path. bench.sh
-// fits ln(ns) against ln(cores) across the four sizes into
-// step_cost_exponent — the scaling claim that per-step cost tracks
+// and 16x16 (74/266/1034 nodes) run the sparse Krylov path. Across the
+// four sizes ns/op tests the scaling claim that per-step cost tracks
 // nonzeros, not N².
 func benchGridStep(b *testing.B, rows, cols int) {
 	fp, err := floorplan.Grid(floorplan.GridSpec{
@@ -235,62 +184,6 @@ func BenchmarkThermalStepFlat(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.Step(h)
-	}
-}
-
-// benchSweepWorkers runs a fixed specs×workloads study through the
-// sweep scheduler at the given worker count; compare ns/op
-// across BenchmarkSweepWorkers{1,2,4,8} to see the scaling curve of
-// the sweep engine on this machine in one `go test -bench
-// SweepWorkers` invocation. Scaling past GOMAXPROCS is flat by
-// construction — the goroutines multiplex onto the same Ps — so on a
-// pinned or single-core machine only the workers1 vs workers2 pair
-// shows contention overhead, not speedup.
-func benchSweepWorkers(b *testing.B, workers int) {
-	opt := benchOptions()
-	opt.Parallelism = workers
-	r, err := experiments.Find("table8")
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := r.Run(opt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		_ = res.Render()
-	}
-}
-
-func BenchmarkSweepWorkers1(b *testing.B) { benchSweepWorkers(b, 1) }
-func BenchmarkSweepWorkers2(b *testing.B) { benchSweepWorkers(b, 2) }
-func BenchmarkSweepWorkers4(b *testing.B) { benchSweepWorkers(b, 4) }
-func BenchmarkSweepWorkers8(b *testing.B) { benchSweepWorkers(b, 8) }
-
-// BenchmarkSweepBatched runs the same fixed study at several lockstep
-// batch widths with one worker, so the sub-bench ratios isolate what
-// batching alone buys the sweep engine (BenchmarkSweepParallel covers
-// the worker axis).
-func BenchmarkSweepBatched(b *testing.B) {
-	for _, width := range []int{1, 8} {
-		b.Run("batch"+itoa(int64(width)), func(b *testing.B) {
-			opt := benchOptions()
-			opt.Parallelism = 1
-			opt.Batch = width
-			r, err := experiments.Find("table8")
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := r.Run(opt)
-				if err != nil {
-					b.Fatal(err)
-				}
-				_ = res.Render()
-			}
-		})
 	}
 }
 
@@ -492,35 +385,6 @@ func BenchmarkSensorRead(b *testing.B) {
 	}
 }
 
-func formatMS(v float64) string { return formatF(v*1e3) + "ms" }
-func formatUS(v float64) string { return formatF(v*1e6) + "us" }
-func formatC(v float64) string  { return formatF(v) + "C" }
-
-func formatF(v float64) string {
-	if v == float64(int64(v)) {
-		return itoa(int64(v))
-	}
-	return itoa(int64(v*10)) + "e-1"
-}
-
-func itoa(v int64) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [24]byte
-	i := len(buf)
-	neg := v < 0
-	if neg {
-		v = -v
-	}
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
-}
+func formatMS(v float64) string { return fmt.Sprintf("%gms", v*1e3) }
+func formatUS(v float64) string { return fmt.Sprintf("%gus", v*1e6) }
+func formatC(v float64) string  { return fmt.Sprintf("%gC", v) }

@@ -2,6 +2,10 @@
 // across a persistent worker pool, coalesced into cross-request GEMM
 // batches, and fronted by a content-addressed result cache.
 //
+// A batch holds up to sim.DefaultBatchSize() cells, the sweep engine's
+// lane count; -window sets how long a lone cell waits for batchmates,
+// and -window 0 turns coalescing off.
+//
 // Endpoints:
 //
 //	POST /v1/sim         one cell -> canonical JSON result
@@ -39,7 +43,6 @@ import (
 // allocating gigabytes.
 const (
 	maxWorkersFlag  = 4096
-	maxBatchFlag    = 4096
 	maxQueueFlag    = 1 << 20
 	maxCacheFlag    = 1 << 20
 	maxWindowFlag   = time.Minute
@@ -54,7 +57,6 @@ func fatalf(format string, args ...any) {
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7016", "listen address (host:port; port 0 picks a free port)")
 	workers := flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
-	batch := flag.Int("batch", 0, "max lanes per lockstep batch (0 = auto, 1 = disable coalescing)")
 	window := flag.Duration("window", 2*time.Millisecond, "batching window a lone cell waits for batchmates (0 disables coalescing)")
 	queue := flag.Int("queue", 0, "admission watermark in cells before 429 shedding (0 = 1024)")
 	cache := flag.Int("cache", serve.DefaultCacheEntries, "result cache entries (0 disables caching)")
@@ -66,9 +68,6 @@ func main() {
 	// (and so mtlint's taintcheck can prove every size is bounded).
 	if *workers < 0 || *workers > maxWorkersFlag {
 		fatalf("thermald: -workers %d out of range [0, %d]", *workers, maxWorkersFlag)
-	}
-	if *batch < 0 || *batch > maxBatchFlag {
-		fatalf("thermald: -batch %d out of range [0, %d]", *batch, maxBatchFlag)
 	}
 	if *window < 0 || *window > maxWindowFlag {
 		fatalf("thermald: -window %v out of range [0, %v]", *window, maxWindowFlag)
@@ -85,7 +84,6 @@ func main() {
 
 	srv := serve.New(serve.Config{
 		Workers:          *workers,
-		BatchWidth:       *batch,
 		Window:           *window,
 		CacheEntries:     *cache,
 		MaxInflightCells: *queue,

@@ -16,10 +16,13 @@ import (
 // to cross-request scope: cells arriving from *different* clients that
 // share one (Template, dt) propagator are held for a short batching
 // window and then stepped together through one shared
-// thermal.BatchModel panel. The window trades a bounded, configurable
-// latency bump (default single-digit milliseconds) for the ~2× per-lane
-// GEMM win measured in BENCH_sweep.json — under concurrent load the
-// window barely matters because batches fill to width and flush early.
+// thermal.BatchModel panel. The window trades a bounded latency bump
+// (thermald's -window, default 2 ms) for the per-lane GEMM saving:
+// BenchmarkThermalStepBatch8 steps a lane in ~230 ns against ~480 ns
+// for BenchmarkThermalStepExpmDirty's unbatched tick on a 2-vCPU
+// AVX-512 Xeon. Only misses that arrive within one window share a
+// panel; on perfbench's serve_open traffic serve.lanes_per_batch reads
+// 1, so there every miss waits out the window alone.
 //
 // Batch composition depends on arrival timing and is therefore not
 // deterministic; responses still are, because lockstep stepping is
@@ -77,21 +80,18 @@ type batcher struct {
 	fallbackSingles       atomic.Int64
 }
 
-func newBatcher(pool *parallel.Pool, width int, window time.Duration) *batcher {
-	if width <= 0 {
-		width = sim.DefaultBatchSize()
-	}
+func newBatcher(pool *parallel.Pool, window time.Duration) *batcher {
 	return &batcher{
 		pool:   pool,
-		width:  width,
+		width:  sim.DefaultBatchSize(),
 		window: window,
 		groups: map[sim.BatchKey]*group{},
 	}
 }
 
 // enabled reports whether cross-request coalescing is on; with a zero
-// window or single-lane width every join dispatches immediately.
-func (b *batcher) enabled() bool { return b.window > 0 && b.width > 1 }
+// window every join dispatches immediately.
+func (b *batcher) enabled() bool { return b.window > 0 }
 
 // groupFor returns the group a cell batches under.
 func (b *batcher) groupFor(c *cell) (*group, error) {

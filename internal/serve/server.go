@@ -39,7 +39,6 @@ import (
 	"multitherm/internal/core"
 	"multitherm/internal/memo"
 	"multitherm/internal/parallel"
-	"multitherm/internal/sim"
 	"multitherm/internal/units"
 )
 
@@ -47,9 +46,6 @@ import (
 type Config struct {
 	// Workers is the persistent pool width; 0 selects GOMAXPROCS.
 	Workers int
-	// BatchWidth caps lanes per lockstep batch; 0 selects
-	// sim.DefaultBatchSize(), 1 disables cross-request coalescing.
-	BatchWidth int
 	// Window is how long a lone cell waits for batchmates; 0 disables
 	// cross-request coalescing.
 	Window time.Duration
@@ -109,14 +105,10 @@ type Server struct {
 // New builds a server and starts its worker pool.
 func New(cfg Config) *Server {
 	pool := parallel.NewPool(cfg.Workers)
-	width := cfg.BatchWidth
-	if width == 0 {
-		width = sim.DefaultBatchSize()
-	}
 	s := &Server{
 		cfg:     cfg,
 		pool:    pool,
-		batcher: newBatcher(pool, width, cfg.Window),
+		batcher: newBatcher(pool, cfg.Window),
 		cache:   memo.NewLRU[[32]byte, []byte](cfg.CacheEntries),
 		mux:     http.NewServeMux(),
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"multitherm/internal/floorplan"
+	"multitherm/internal/linalg"
 	"multitherm/internal/units"
 )
 
@@ -199,6 +200,32 @@ func TestDiscretizationMemoized(t *testing.T) {
 	}
 	if d3 == d1 || d3.Dt() != 2*paperTick {
 		t.Fatal("distinct dt should build a distinct discretization")
+	}
+}
+
+// TestPaperTickTakesSIMDPath pins the dispatch every paper cell relies
+// on: where the vectorized kernel exists, the 55-node CMP4 template at
+// the paper tick must prefer the exact step and get a dense
+// discretization that runs that kernel. Losing either sends every
+// paper tick back to substepped RK4 or the generic loop; the results
+// stay within tolerance, so no result-checking test would notice.
+func TestPaperTickTakesSIMDPath(t *testing.T) {
+	if !linalg.SIMDEnabled() {
+		t.Skip("no vectorized kernel in this build or on this CPU")
+	}
+	tpl, err := TemplateFor(floorplan.CMP4(), DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !tpl.PreferExact(paperTick) {
+		t.Fatal("PreferExact(paper tick) = false for the CMP4 template")
+	}
+	d, err := tpl.Discretization(paperTick)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !d.SIMDAccelerated() {
+		t.Fatal("CMP4 discretization at the paper tick does not run the SIMD kernel")
 	}
 }
 

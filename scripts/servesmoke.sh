@@ -1,12 +1,12 @@
 #!/bin/sh
 # servesmoke.sh — end-to-end smoke for the thermald serving stack.
 #
-# Builds thermald and thermald-bench, starts the server on an ephemeral
-# port, fires a mixed sim/sweep/trace burst at it twice in different
-# client orderings (thermald-bench -smoke), and fails unless every
-# response is bit-identical across the two runs — the serving layer's
-# determinism contract. Finishes by exercising the SIGTERM drain path
-# and checking the server reports a clean exit.
+# Builds thermald, starts it on an ephemeral port, fires a mixed
+# sim/sweep/trace burst at it with curl twice, in opposite client
+# orderings, and fails unless every response is bit-identical across
+# the two bursts — the serving layer's determinism contract. Finishes
+# by exercising the SIGTERM drain path and checking the server reports
+# a clean exit.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -16,7 +16,6 @@ trap 'kill "$pid" 2>/dev/null || true; rm -rf "$tmp"' EXIT
 
 echo "building..." >&2
 go build -o "$tmp/thermald" ./cmd/thermald
-go build -o "$tmp/thermald-bench" ./cmd/thermald-bench
 
 "$tmp/thermald" -addr 127.0.0.1:0 >"$tmp/thermald.log" 2>&1 &
 pid=$!
@@ -36,7 +35,45 @@ done
 [ -n "$url" ] || { echo "FAIL: thermald never reported its address" >&2; exit 1; }
 echo "thermald up at ${url}" >&2
 
-"$tmp/thermald-bench" -smoke -url "$url"
+# Determinism burst: five requests (three /v1/sim, one /v1/sweep, one
+# /v1/sim/trace) fired concurrently, then again in the opposite order.
+# Batch composition and cache state differ between the bursts; no
+# response may.
+n=0
+while read -r path body; do
+    printf '%s' "$path" >"$tmp/req.$n.path"
+    printf '%s' "$body" >"$tmp/req.$n.body"
+    n=$((n + 1))
+done <<'REQUESTS'
+/v1/sim {"workload":"workload1","policy":"dist-dvfs","simtime_s":0.01}
+/v1/sim {"workload":"workload2","policy":"global-stopgo","simtime_s":0.01}
+/v1/sim {"workload":"workload3","policy":"dist-stopgo+counter","simtime_s":0.01}
+/v1/sweep {"simtime_s":0.01,"cells":[{"workload":"workload4","policy":"dist-dvfs"},{"workload":"workload1","policy":"dist-dvfs"}]}
+/v1/sim/trace {"workload":"workload5","policy":"dist-dvfs","simtime_s":0.005,"every":8}
+REQUESTS
+burst() { # burst <run> <request index>...
+    run=$1
+    shift
+    bpids=""
+    for i in "$@"; do
+        curl -sS --fail-with-body -H 'Content-Type: application/json' \
+            --data-binary @"$tmp/req.$i.body" -o "$tmp/resp.$run.$i" \
+            "$url$(cat "$tmp/req.$i.path")" 2>"$tmp/resp.$run.$i.err" &
+        bpids="$bpids $!"
+    done
+    for bp in $bpids; do
+        wait "$bp" || { cat "$tmp"/resp."$run".* >&2; echo "FAIL: a request in burst $run failed" >&2; exit 1; }
+    done
+}
+burst 1 0 1 2 3 4
+burst 2 4 3 2 1 0
+for i in 0 1 2 3 4; do
+    [ -s "$tmp/resp.1.$i" ] && cmp "$tmp/resp.1.$i" "$tmp/resp.2.$i" >&2 || {
+        echo "FAIL: request $i ($(cat "$tmp/req.$i.path") $(cat "$tmp/req.$i.body")) diverged between orderings" >&2
+        exit 1
+    }
+done
+echo "servesmoke: $n responses bit-identical across orderings" >&2
 
 # Graceful drain under load: open trace streams, then SIGTERM while
 # they are in flight. The server must finish every open stream, report
