@@ -16,19 +16,6 @@
 //	unitsafety   — raw floats in unit-bearing APIs, cross-dimension
 //	               conversions, and unaudited .Raw() escapes in
 //	               //mtlint:units packages
-//	lockcheck    — lock-ordering cycles, locks held across blocking
-//	               calls, and //mtlint:guardedby field accesses
-//	               without the lock (CFG must-hold dataflow)
-//	cowcheck     — mutations of atomically published maps/slices and
-//	               fields mixing sync/atomic with plain access (CFG
-//	               may-publish dataflow)
-//	lifecycle    — goroutines without a join path and timers without
-//	               a stop path in //mtlint:deterministic or
-//	               //mtlint:lifecycle packages
-//	taintcheck   — request/flag/env-derived values reaching make
-//	               sizes, loop bounds, or slice indexing without a
-//	               recognized clamp (interprocedural, call-graph
-//	               summaries)
 //
 // Exit status is 2 on findings or type errors, 1 on infrastructure
 // failure, 0 when clean. -json emits machine-readable findings.
@@ -41,14 +28,10 @@ import (
 	"os"
 	"regexp"
 
-	"multitherm/internal/analysis/cowcheck"
 	"multitherm/internal/analysis/determinism"
 	"multitherm/internal/analysis/driver"
 	"multitherm/internal/analysis/floatcmp"
 	"multitherm/internal/analysis/kernelparity"
-	"multitherm/internal/analysis/lifecycle"
-	"multitherm/internal/analysis/lockcheck"
-	"multitherm/internal/analysis/taintcheck"
 	"multitherm/internal/analysis/unitsafety"
 	"multitherm/internal/analysis/zeroalloc"
 )
@@ -59,10 +42,6 @@ var all = []*driver.Analyzer{
 	zeroalloc.Analyzer,
 	kernelparity.Analyzer,
 	unitsafety.Analyzer,
-	lockcheck.Analyzer,
-	cowcheck.Analyzer,
-	lifecycle.Analyzer,
-	taintcheck.Analyzer,
 }
 
 func main() {

@@ -17,10 +17,7 @@
 //
 // SIGINT/SIGTERM drain gracefully: the listener stops accepting, open
 // requests finish, pending batches flush, the pool joins, then the
-// process exits. The lifecycle analyzer enforces that every goroutine
-// and timer here has a join or stop path, so the drain terminates.
-//
-//mtlint:lifecycle
+// process exits.
 package main
 
 import (
@@ -65,7 +62,7 @@ func main() {
 
 	// Operator flags still size pools, queues, and caches; clamp them
 	// against named ceilings so a typo cannot allocate the machine away
-	// (and so mtlint's taintcheck can prove every size is bounded).
+	// (scripts/servesmoke.sh pins each ceiling).
 	if *workers < 0 || *workers > maxWorkersFlag {
 		fatalf("thermald: -workers %d out of range [0, %d]", *workers, maxWorkersFlag)
 	}

@@ -40,43 +40,10 @@ import (
 //	    .Raw() calls inside its body (//mtlint:zeroalloc implies the
 //	    same permission — the zero-alloc kernels are the boundary).
 //
-//	//mtlint:guardedby <lockField> [writes]
-//	    Struct-field marker, in the field's doc or trailing comment.
-//	    Every access to the field must happen with the named sibling
-//	    lock held on the same base expression (g.pending needs g.mu),
-//	    proven by the lockcheck analyzer's must-hold dataflow; writes
-//	    additionally need the lock exclusively (Lock, not RLock). The
-//	    `writes` variant guards writes only — the copy-on-write shape
-//	    where lock-free readers Load an immutable snapshot and only
-//	    publication takes the writer lock.
-//
-//	//mtlint:locked <lockField>
-//	    Method marker, placed in the method's doc comment. Declares
-//	    the contract "callers hold recv.<lockField>": the body is
-//	    checked with the lock pre-held, and every call site must
-//	    prove it holds the receiver's lock.
-//
-//	//mtlint:lifecycle
-//	    Package marker, placed with the package clause (any file).
-//	    Opts the package into the lifecycle analyzer: every goroutine
-//	    needs a join path (WaitGroup Done/Wait, observed channel
-//	    send) and every timer/ticker a reachable Stop.
-//	    //mtlint:deterministic packages are covered implicitly.
-//
-//	//mtlint:sanitizer
-//	    Function marker, placed in the function's doc comment.
-//	    Declares the function a trust boundary for the taint analysis:
-//	    its results are clean regardless of argument taint, and its
-//	    arguments count as validated afterwards. Reserve it for strict
-//	    whitelist lookups (MixByName, PolicyByName) and decodes of
-//	    trusted local toolchain output — a sanitizer that forwards its
-//	    input unexamined silences real findings downstream.
-//
 //	//mtlint:allow <check> [reason]
 //	    Line-level suppression, on the flagged line or the line
 //	    directly above it. Checks: floatcmp, maprange, time, rand,
-//	    goappend, unit, lockheld, lockorder, guardedby, cowcheck,
-//	    atomicmix, lifecycle, taint.
+//	    goappend, unit.
 const directivePrefix = "//mtlint:"
 
 // directive splits an "//mtlint:name args..." comment into its name

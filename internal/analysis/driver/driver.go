@@ -37,12 +37,7 @@ type Analyzer struct {
 type Pass struct {
 	Analyzer *Analyzer
 	Pkg      *Package
-	// Prog is the interprocedural view over every package of this Run:
-	// the function index and the shared summary caches (see summary.go
-	// and taint.go). One Program is built per Run, so summaries are
-	// computed once and reused by every (package, analyzer) pass.
-	Prog   *Program
-	report func(Diagnostic)
+	report   func(Diagnostic)
 }
 
 // Fset returns the file set all package positions resolve through.
@@ -99,7 +94,6 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, []error) {
 		err   error
 	}
 	slots := make([]slot, len(pkgs)*len(analyzers))
-	prog := NewProgram(pkgs)
 	// fn never returns an error: infrastructure failures are recorded in
 	// the pass's slot so every pass still runs (ForEach would cancel the
 	// remaining work on the first error).
@@ -109,7 +103,6 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, []error) {
 		pass := &Pass{
 			Analyzer: a,
 			Pkg:      pkg,
-			Prog:     prog,
 			report:   func(d Diagnostic) { s.diags = append(s.diags, d) },
 		}
 		if err := a.Run(pass); err != nil {

@@ -42,17 +42,6 @@ type Package struct {
 	TypeErrors []error
 }
 
-// decodeListPkg reads the next `go list -json` record. The stream is
-// produced by the local toolchain from the local module — trusted build
-// metadata, not remote input — so this decode boundary is marked as a
-// taint sanitizer; without the mark every go-list-derived file count
-// would read as request-controlled.
-//
-//mtlint:sanitizer
-func decodeListPkg(dec *json.Decoder, p *goListPkg) error {
-	return dec.Decode(p)
-}
-
 // goListPkg mirrors the fields of `go list -json` output the loader
 // consumes.
 type goListPkg struct {
@@ -102,7 +91,7 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	dec := json.NewDecoder(&stdout)
 	for {
 		var p goListPkg
-		if err := decodeListPkg(dec, &p); err == io.EOF {
+		if err := dec.Decode(&p); err == io.EOF {
 			break
 		} else if err != nil {
 			return nil, fmt.Errorf("go list: decoding output: %w", err)

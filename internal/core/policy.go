@@ -145,11 +145,9 @@ func PolicyNames() []string {
 
 // PolicyByName resolves names like "dist-dvfs", "global-stopgo",
 // "dist-stopgo+counter", or "dist-dvfs+sensor" (case-insensitive,
-// surrounding whitespace ignored). It is a strict whitelist lookup —
+// surrounding whitespace ignored). It is a strict whitelist lookup:
 // the result is one of the taxonomy's static specs regardless of
-// input — so the taint analysis treats it as a sanitizer.
-//
-//mtlint:sanitizer
+// input.
 func PolicyByName(name string) (PolicySpec, error) {
 	want := strings.ToLower(strings.TrimSpace(name))
 	for _, p := range Taxonomy() {

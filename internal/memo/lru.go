@@ -28,9 +28,8 @@ import (
 type LRU[K comparable, V any] struct {
 	cap   int
 	clock atomic.Int64
-	//mtlint:guardedby mu writes
-	snap atomic.Pointer[map[K]*lruEntry[V]]
-	mu   sync.Mutex // serializes writers; readers never take it
+	snap  atomic.Pointer[map[K]*lruEntry[V]]
+	mu    sync.Mutex // serializes writers; readers never take it
 
 	hits, misses, evictions atomic.Int64
 }

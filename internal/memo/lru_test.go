@@ -103,4 +103,32 @@ func TestLRUConcurrent(t *testing.T) {
 	if s := c.Stats(); s.Evictions == 0 {
 		t.Fatalf("expected evictions under pressure, stats = %+v", s)
 	}
+
+	// Distinct keys that exactly fill the cache: nothing is evicted, so
+	// every concurrent insert must survive and read back. A Put that
+	// copies and publishes the snapshot without the writer lock loses
+	// inserts; one that writes the published snapshot in place races
+	// the other goroutines' Gets.
+	full := NewLRU[int, int](800)
+	start := make(chan struct{})
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			<-start
+			for i := 0; i < 100; i++ {
+				k := g*100 + i
+				full.Put(k, k*7)
+				if v, ok := full.Get(k); !ok || v != k*7 {
+					t.Errorf("Get(%d) after its Put = (%d, %v), want (%d, true)", k, v, ok, k*7)
+					return
+				}
+			}
+		}(g)
+	}
+	close(start)
+	wg.Wait()
+	if n := full.Len(); n != 800 {
+		t.Fatalf("%d entries after 800 distinct concurrent Puts into an 800-entry cache, want 800", n)
+	}
 }

@@ -25,8 +25,6 @@ import (
 type Map[K comparable, V any] struct {
 	// snap is the published copy-on-write snapshot: lock-free readers
 	// Load it, and only publication needs the writer lock.
-	//
-	//mtlint:guardedby mu writes
 	snap atomic.Pointer[map[K]V]
 	mu   sync.Mutex // serializes writers; readers never take it
 }
@@ -61,39 +59,22 @@ func (m *Map[K, V]) LoadOrStore(k K, build func() (V, error)) (V, error) {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	var cur map[K]V
 	if p := m.snap.Load(); p != nil {
 		if won, ok := (*p)[k]; ok {
 			return won, nil // a racing builder published first; discard ours
 		}
+		cur = *p
 	}
-	m.storeLocked(k, v)
-	return v, nil
-}
-
-// Store publishes v under k, replacing any existing entry.
-func (m *Map[K, V]) Store(k K, v V) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.storeLocked(k, v)
-}
-
-// storeLocked copies the current snapshot, inserts, and publishes.
-// Callers hold mu.
-//
-//mtlint:locked mu
-func (m *Map[K, V]) storeLocked(k K, v V) {
-	var next map[K]V
-	if p := m.snap.Load(); p != nil {
-		next = make(map[K]V, len(*p)+1)
-		//mtlint:allow maprange copy-on-write snapshot clone; insertion order of a map copy is invisible to readers
-		for key, val := range *p {
-			next[key] = val
-		}
-	} else {
-		next = make(map[K]V, 1)
+	// Publish a copy with k added; the current snapshot is never written.
+	next := make(map[K]V, len(cur)+1)
+	//mtlint:allow maprange copy-on-write snapshot clone; insertion order of a map copy is invisible to readers
+	for key, val := range cur {
+		next[key] = val
 	}
 	next[k] = v
 	m.snap.Store(&next)
+	return v, nil
 }
 
 // Len returns the number of memoized entries in the current snapshot.

@@ -58,18 +58,6 @@ func TestLoadOrStoreErrorDoesNotPublish(t *testing.T) {
 	}
 }
 
-func TestStoreReplaces(t *testing.T) {
-	var m Map[string, int]
-	m.Store("k", 1)
-	m.Store("k", 2)
-	if v, ok := m.Load("k"); !ok || v != 2 {
-		t.Fatalf("Load = (%d, %v), want (2, true)", v, ok)
-	}
-	if n := m.Len(); n != 1 {
-		t.Fatalf("Len = %d, want 1", n)
-	}
-}
-
 // TestFirstStoreWins pins the sync.Map-compatible race semantics the
 // thermal template cache relies on: when several goroutines build the
 // same key concurrently, every caller must come away holding the one
@@ -194,45 +182,12 @@ func TestRacingBuildersDiscardLosers(t *testing.T) {
 	}
 }
 
-// TestStoreDuringSlowBuild pins the other first-store race: a direct
-// Store that lands while a LoadOrStore build is still running must win
-// — the slow builder finds the key published when it reaches the lock
-// and returns the stored value, discarding its own.
-func TestStoreDuringSlowBuild(t *testing.T) {
-	var m Map[string, int]
-	building := make(chan struct{})
-	release := make(chan struct{})
-	done := make(chan struct{})
-	var got int
-	go func() {
-		defer close(done)
-		v, err := m.LoadOrStore("k", func() (int, error) {
-			close(building)
-			<-release
-			return 1, nil
-		})
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		got = v
-	}()
-	<-building
-	m.Store("k", 2) // publishes first, while the build is in flight
-	close(release)
-	<-done
-	if got != 2 {
-		t.Fatalf("slow builder returned %d, want the already-published 2", got)
-	}
-	if v, _ := m.Load("k"); v != 2 {
-		t.Fatalf("map holds %d, want the first-published 2", v)
-	}
-}
-
 func BenchmarkLoadHit(b *testing.B) {
 	var m Map[string, int]
 	for i := 0; i < 64; i++ {
-		m.Store(fmt.Sprintf("key-%d", i), i)
+		if _, err := m.LoadOrStore(fmt.Sprintf("key-%d", i), func() (int, error) { return i, nil }); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {

@@ -4,10 +4,7 @@
 // index, results are slotted by index (never by arrival order), and
 // the first error — by index, not by time — cancels the remaining work
 // and is the one reported. Every goroutine the package spawns joins
-// through a WaitGroup on an explicit drain path — enforced by the
-// lifecycle analyzer.
-//
-//mtlint:lifecycle
+// through a WaitGroup on an explicit drain path.
 package parallel
 
 import (

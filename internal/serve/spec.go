@@ -20,7 +20,7 @@ import (
 // allocation or loop is sized by wire input. Violations answer 400.
 // Floorplan dimensions are bounded separately by the floorplan package
 // itself (each grid dimension and the cell product are validated before
-// any allocation — the clamp taintcheck's fixture suite mutates).
+// any allocation).
 const (
 	// MaxSweepCells bounds the cells array of one sweep request.
 	MaxSweepCells = 1024

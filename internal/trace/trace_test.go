@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -224,6 +226,19 @@ func TestBinaryRejectsGarbage(t *testing.T) {
 	trunc := buf.Bytes()[:buf.Len()/2]
 	if _, err := ReadBinary(bytes.NewReader(trunc)); err == nil {
 		t.Error("truncated trace accepted")
+	}
+	// A well-formed header whose sample count is one past the decoder
+	// cap must be refused before the count sizes anything.
+	var hdr bytes.Buffer
+	hdr.WriteString(binaryMagic)
+	for _, v := range []any{uint32(binaryVersion), uint32(0), math.Float64bits(1e-5), uint32(maxDecodedSamples + 1)} {
+		if err := binary.Write(&hdr, binary.LittleEndian, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := fmt.Sprintf("implausible sample count %d", maxDecodedSamples+1)
+	if _, err := ReadBinary(&hdr); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("over-cap sample count: got %v, want an error naming %q", err, want)
 	}
 }
 

@@ -58,10 +58,8 @@ var Mixes = []Mix{
 }
 
 // MixByName returns the named workload mix. It is a strict whitelist
-// lookup — the result is one of the static mix tables regardless of
-// input — so the taint analysis treats it as a sanitizer.
-//
-//mtlint:sanitizer
+// lookup: the result is one of the static mix tables regardless of
+// input.
 func MixByName(name string) (Mix, error) {
 	for _, m := range Mixes {
 		if m.Name == name {

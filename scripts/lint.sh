@@ -49,11 +49,10 @@ go vet ./...
 
 # mtlint runs with a wall-clock budget (default 60s, override with
 # MTLINT_BUDGET_SECONDS). The driver parallelizes (package, analyzer)
-# slots, and the interprocedural passes (taintcheck, and the summary
-# lookups in lockcheck/lifecycle) share one memoized per-invocation
-# summary cache — each function is summarized once no matter how many
-# passes ask. The budget catches a fixpoint or cache regression before
-# it quietly doubles every CI run.
+# slots; most of the gate's time is zeroalloc's per-package
+# `go build -gcflags=-m` subprocess. The budget catches a regression
+# there (a lost build cache, a serialized fan-out) before it quietly
+# doubles every CI run.
 echo "==> mtlint"
 mtlint_budget="${MTLINT_BUDGET_SECONDS:-60}"
 mtlint_start=$(date +%s)

@@ -1,21 +1,47 @@
 #!/bin/sh
 # servesmoke.sh — end-to-end smoke for the thermald serving stack.
 #
-# Builds thermald, starts it on an ephemeral port, fires a mixed
-# sim/sweep/trace burst at it with curl twice, in opposite client
-# orderings, and fails unless every response is bit-identical across
-# the two bursts — the serving layer's determinism contract. Finishes
-# by exercising the SIGTERM drain path and checking the server reports
-# a clean exit.
+# Builds thermald and tracegen and checks that every operator-flag
+# ceiling refuses its first out-of-range value. Then starts thermald on
+# an ephemeral port, fires a mixed sim/sweep/trace burst at it with
+# curl twice, in opposite client orderings, and fails unless every
+# response is bit-identical across the two bursts — the serving
+# layer's determinism contract. Finishes by exercising the SIGTERM
+# drain path and checking the server reports a clean exit.
 set -eu
 
 cd "$(dirname "$0")/.."
 tmp="${TMPDIR:-/tmp}/thermald-smoke.$$"
 mkdir -p "$tmp"
+pid=""
 trap 'kill "$pid" 2>/dev/null || true; rm -rf "$tmp"' EXIT
 
 echo "building..." >&2
 go build -o "$tmp/thermald" ./cmd/thermald
+go build -o "$tmp/tracegen" ./cmd/tracegen
+
+# Operator-flag ceilings: one past each ceiling must be refused with
+# an "out of range" message and the command's usage exit status before
+# the value sizes anything. The unusable -addr (and tracegen's unknown
+# -benchmark) make a missing ceiling fail fast at the next step instead
+# of serving or allocating; timeout backs that up.
+check_ceiling() { # check_ceiling <want status> <command>...
+    want=$1
+    shift
+    status=0
+    timeout 20 "$@" >"$tmp/ceiling.out" 2>&1 || status=$?
+    if [ "$status" -ne "$want" ] || ! grep -q "out of range" "$tmp/ceiling.out"; then
+        cat "$tmp/ceiling.out" >&2
+        echo "FAIL: $* exited $status; want exit $want and an \"out of range\" message" >&2
+        exit 1
+    fi
+}
+for flagval in "-workers 4097" "-queue 1048577" "-cache 1048577" "-window 61s" "-max-simtime 3601"; do
+    # shellcheck disable=SC2086 # flag name and value split on purpose
+    check_ceiling 2 "$tmp/thermald" -addr "unusable address" $flagval
+done
+check_ceiling 1 "$tmp/tracegen" -benchmark no-such-benchmark -n 4194305
+echo "servesmoke: every operator-flag ceiling refuses its first out-of-range value" >&2
 
 "$tmp/thermald" -addr 127.0.0.1:0 >"$tmp/thermald.log" 2>&1 &
 pid=$!
