@@ -25,6 +25,7 @@ import (
 
 	"multitherm/internal/experiments"
 	"multitherm/internal/floorplan"
+	"multitherm/internal/parallel"
 	"multitherm/internal/units"
 )
 
@@ -34,7 +35,7 @@ func main() {
 	list := flag.Bool("list", false, "list reproducible artifacts and exit")
 	simtime := flag.Float64("simtime", 0, "simulated silicon time per run in seconds (default 0.5)")
 	workersFlag := flag.Int("workers", 0, "worker count for the cell scheduler (0 = all CPUs, 1 = sequential; results identical at any count)")
-	batch := flag.Int("batch", 0, "lockstep batch width for cells sharing one thermal propagator (0 = auto-size from cache, 1 = no batching; results identical at any width)")
+	batch := flag.Int("batch", 0, "widest lockstep batch for cells sharing one thermal propagator (0 = auto-size from cache, 1 = no batching; narrowed so their batches cover every worker; results identical at any width)")
 	ablations := flag.Bool("ablations", false, "also run the beyond-the-paper extension/ablation artifacts")
 	gridFlag := flag.String("floorplan", "", "generated grid for the manycore artifact, as RxC (e.g. 16x16 for 256 cores)")
 	mdPath := flag.String("md", "", "also write the report as markdown to this file")
@@ -131,10 +132,7 @@ func main() {
 		fmt.Fprintf(md, "# multitherm reproduction report\n\nSimulated silicon time per run: %.2f s.\n\n", float64(opt.SimTime))
 	}
 
-	workers := *workersFlag
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := parallel.Workers(*workersFlag)
 	total := time.Now()
 	for _, r := range runners {
 		start := time.Now()

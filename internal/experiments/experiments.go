@@ -38,11 +38,12 @@ type Options struct {
 	// because every cell is independent and results are slotted by
 	// index, not arrival order.
 	Parallelism int
-	// Batch is the lockstep batch width: cells sharing one thermal
+	// Batch is the widest lockstep batch: cells sharing one thermal
 	// propagator — same template and control period — are stepped
 	// together through a fused panel update (sim.BatchRunner), which is
 	// bit-identical to running them one by one. 0 picks the cache-sized
-	// default (sim.DefaultBatchSize); 1 disables batching.
+	// default (sim.DefaultBatchSize); 1 disables batching. Batches are
+	// cut narrower where that gives every worker a share of the cells.
 	Batch int
 	// Grid selects the generated floorplan the many-core extension
 	// runs on (cmd/sweep -floorplan). The zero value picks the
@@ -178,38 +179,33 @@ func (c cell) newRunner() (*sim.Runner, error) {
 
 // runCells executes the given cells and slots each result at its input
 // index. Cells are grouped by sim.BatchKey in first-seen order and each
-// group is cut into batch-width runs of consecutive cells up front, one
-// lockstep unit per task. Tasks are weighted by the simulated time they
-// cover, so the biggest batches start first and a straggler cannot hold
-// the sweep open alone. Batch composition depends only on the cells and
-// the width, never on scheduling; results are independent of both,
-// because batched stepping is bit-identical to sequential stepping
-// (sim.BatchRunner's contract).
+// group is cut into lockstep batches of consecutive cells up front
+// (cutBatches), one batch per task. Tasks are weighted by the simulated
+// time they cover, so the biggest batches start first and a straggler
+// cannot hold the sweep open alone. Batch composition depends only on
+// the cells, the width and the worker count, never on timing; results
+// are independent of all three, because batched stepping is
+// bit-identical to sequential stepping (sim.BatchRunner's contract).
 func runCells(o Options, cells []cell) ([]*metrics.Run, error) {
-	groups := map[sim.BatchKey][]int{}
-	var keys []sim.BatchKey
+	groupOf := map[sim.BatchKey]int{}
+	var groups [][]int
 	for i, c := range cells {
 		k, err := sim.BatchKeyOf(c.cfg)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s on %s: %w", c.policy, c.pop.name, err)
 		}
-		if _, seen := groups[k]; !seen {
-			keys = append(keys, k)
+		g, seen := groupOf[k]
+		if !seen {
+			g = len(groups)
+			groupOf[k] = g
+			groups = append(groups, nil)
 		}
-		groups[k] = append(groups[k], i)
+		groups[g] = append(groups[g], i)
 	}
-	size := o.batchSize()
-	var batches [][]int
-	var tasks []parallel.Task
-	for _, k := range keys {
-		idx := groups[k]
-		simTime := float64(cells[idx[0]].cfg.SimTime)
-		for len(idx) > 0 {
-			n := min(len(idx), size)
-			tasks = append(tasks, parallel.Task{Index: len(batches), Cost: float64(n) * simTime})
-			batches = append(batches, idx[:n])
-			idx = idx[n:]
-		}
+	batches := cutBatches(groups, o.batchSize(), parallel.Workers(o.Parallelism))
+	tasks := make([]parallel.Task, len(batches))
+	for i, idx := range batches {
+		tasks[i] = parallel.Task{Index: i, Cost: float64(len(idx)) * float64(cells[idx[0]].cfg.SimTime)}
 	}
 
 	runs := make([]*metrics.Run, len(cells))
@@ -241,6 +237,25 @@ func runCells(o Options, cells []cell) ([]*metrics.Run, error) {
 		return nil, err
 	}
 	return runs, nil
+}
+
+// cutBatches cuts each group of same-key cells into batches of
+// consecutive cells, in group order. A batch is at most width lanes
+// wide, and at most ceil(len(group)/workers), so one group spreads over
+// every worker instead of leaving some idle: three cells on two workers
+// run as a two-lane and a one-lane batch, not one three-lane batch.
+// With one worker the cut is width-sized.
+func cutBatches(groups [][]int, width, workers int) [][]int {
+	var batches [][]int
+	for _, idx := range groups {
+		w := min(width, (len(idx)+workers-1)/workers)
+		for len(idx) > 0 {
+			n := min(len(idx), w)
+			batches = append(batches, idx[:n])
+			idx = idx[n:]
+		}
+	}
+	return batches
 }
 
 // Result is the common interface of all experiment outputs.

@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"multitherm/internal/core"
+	"multitherm/internal/sim"
 	"multitherm/internal/workload"
 )
 
@@ -21,6 +23,71 @@ func quick(t testing.TB) Options {
 		o.Workloads = append(o.Workloads, m)
 	}
 	return o
+}
+
+// TestCutBatches pins the batch cut runCells makes: consecutive cells
+// in group order, no batch wider than the configured width, and each
+// group spread over every worker.
+func TestCutBatches(t *testing.T) {
+	seq := func(from, n int) []int {
+		out := make([]int, n)
+		for i := range out {
+			out[i] = from + i
+		}
+		return out
+	}
+	widths := func(batches [][]int) []int {
+		var out []int
+		for _, b := range batches {
+			out = append(out, len(b))
+		}
+		return out
+	}
+	// cut is the width-only cut: n cells in w-lane batches and a tail.
+	cut := func(n, w int) []int {
+		var out []int
+		for ; n > 0; n -= w {
+			out = append(out, min(n, w))
+		}
+		return out
+	}
+	def := sim.DefaultBatchSize()
+	for _, tc := range []struct {
+		name           string
+		groups         [][]int
+		width, workers int
+		want           []int // batch widths, in order
+	}{
+		// The manycore grid's three cells on two CPUs: a two-lane and a
+		// one-lane task instead of one three-lane task.
+		{"3 cells, 2 workers", [][]int{seq(0, 3)}, def, 2, []int{2, 1}},
+		// Plenty of cells: the cache-sized width still caps every batch.
+		{"96 cells, 2 workers", [][]int{seq(0, 96)}, def, 2, cut(96, def)},
+		// One worker keeps the width-only cut.
+		{"1 worker", [][]int{seq(0, 23)}, def, 1, cut(23, def)},
+		{"1 worker, 3 cells", [][]int{seq(0, 3)}, def, 1, []int{3}},
+		// An explicit -batch width caps below the per-worker share.
+		{"explicit width", [][]int{seq(0, 12)}, Options{Batch: 4}.batchSize(), 2, []int{4, 4, 4}},
+		{"width 1", [][]int{seq(0, 3)}, Options{Batch: 1}.batchSize(), 2, []int{1, 1, 1}},
+		// Each group is cut on its own, in first-seen order.
+		{"two groups", [][]int{seq(0, 12), seq(12, 3)}, 10, 2, []int{6, 6, 2, 1}},
+		{"more workers than cells", [][]int{seq(0, 3)}, def, 8, []int{1, 1, 1}},
+	} {
+		got := cutBatches(tc.groups, tc.width, tc.workers)
+		if w := widths(got); !slices.Equal(w, tc.want) {
+			t.Errorf("%s: batch widths %v, want %v", tc.name, w, tc.want)
+		}
+		var flat, want []int
+		for _, b := range got {
+			flat = append(flat, b...)
+		}
+		for _, g := range tc.groups {
+			want = append(want, g...)
+		}
+		if !slices.Equal(flat, want) {
+			t.Errorf("%s: batches %v do not cover the groups' cells in order", tc.name, got)
+		}
+	}
 }
 
 func TestRegistryComplete(t *testing.T) {

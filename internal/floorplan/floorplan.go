@@ -124,6 +124,27 @@ func (f *Floorplan) CoreBlocks(core int) []int {
 	return out
 }
 
+// BlocksByCore indexes the blocks by owner in one pass over the
+// floorplan: cores[c] lists the blocks core c owns and shared the
+// blocks no core owns (SharedCore), each in floorplan order. cores has
+// one entry per core id up to the highest one in use. Per-core loops
+// walk this index instead of scanning the whole floorplan for every
+// core.
+func (f *Floorplan) BlocksByCore() (cores [][]int, shared []int) {
+	for i := range f.Blocks {
+		c := f.Blocks[i].Core
+		if c < 0 {
+			shared = append(shared, i)
+			continue
+		}
+		for len(cores) <= c {
+			cores = append(cores, nil)
+		}
+		cores[c] = append(cores[c], i)
+	}
+	return cores, shared
+}
+
 // FindCoreBlock returns the index of core's block of the given kind, or
 // -1 if the core has none.
 func (f *Floorplan) FindCoreBlock(core int, kind UnitKind) int {
@@ -185,7 +206,8 @@ func (f *Floorplan) Adjacencies() []Adjacency {
 }
 
 // Validate checks structural soundness: non-empty, positive dimensions,
-// unique names, blocks within chip bounds, and no overlapping blocks.
+// unique names, owners that are a core id or SharedCore, blocks within
+// chip bounds, and no overlapping blocks.
 func (f *Floorplan) Validate() error {
 	if len(f.Blocks) == 0 {
 		return fmt.Errorf("floorplan %q: no blocks", f.Name)
@@ -204,6 +226,9 @@ func (f *Floorplan) Validate() error {
 		names[b.Name] = true
 		if b.W <= 0 || b.H <= 0 {
 			return fmt.Errorf("floorplan %q: block %q has non-positive size", f.Name, b.Name)
+		}
+		if b.Core < SharedCore {
+			return fmt.Errorf("floorplan %q: block %q has core %d", f.Name, b.Name, b.Core)
 		}
 		if b.CoolingBoost < 0 {
 			return fmt.Errorf("floorplan %q: block %q has negative cooling boost", f.Name, b.Name)

@@ -2,6 +2,7 @@ package floorplan
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -60,6 +61,40 @@ func TestFindCoreBlockMissing(t *testing.T) {
 	}
 	if got := f.FindCoreBlock(9, KindFXU); got != -1 {
 		t.Errorf("FindCoreBlock for absent core = %d, want -1", got)
+	}
+}
+
+// TestBlocksByCoreMatchesScan checks the one-pass owner index against
+// a per-core scan of the floorplan, on the paper's part and on a
+// generated grid: every block appears once, under its owner, in
+// floorplan order.
+func TestBlocksByCoreMatchesScan(t *testing.T) {
+	grid, err := Grid(GridSpec{Rows: 3, Cols: 3, Pattern: PatternMixedRows})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []*Floorplan{CMP4(), Banias(), grid} {
+		cores, shared := f.BlocksByCore()
+		if len(cores) != f.NumCores() {
+			t.Errorf("%s: %d core lists, want %d", f.Name, len(cores), f.NumCores())
+		}
+		scan := func(owner int) []int {
+			var out []int
+			for i, b := range f.Blocks {
+				if b.Core == owner {
+					out = append(out, i)
+				}
+			}
+			return out
+		}
+		for c := range cores {
+			if want := scan(c); !slices.Equal(cores[c], want) {
+				t.Errorf("%s core %d: %v, want %v", f.Name, c, cores[c], want)
+			}
+		}
+		if want := scan(SharedCore); !slices.Equal(shared, want) {
+			t.Errorf("%s shared: %v, want %v", f.Name, shared, want)
+		}
 	}
 }
 
@@ -187,6 +222,10 @@ func TestValidateCatchesEmptyAndBadDims(t *testing.T) {
 	g := &Floorplan{Name: "n", ChipW: 1, ChipH: 1, Blocks: []Block{{Name: "a", W: 0, H: 1}}}
 	if err := g.Validate(); err == nil {
 		t.Error("zero block width not detected")
+	}
+	h := &Floorplan{Name: "o", ChipW: 1, ChipH: 1, Blocks: []Block{{Name: "a", W: 1, H: 1, Core: -2}}}
+	if err := h.Validate(); err == nil {
+		t.Error("owner below SharedCore not detected")
 	}
 }
 

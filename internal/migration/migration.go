@@ -77,14 +77,11 @@ func readHotspots(ctx *Context) []coreHotspot {
 }
 
 // readCoreRegFiles reads the two register-file sensors of a core
-// straight off the shared bank — the per-tick path filters in place
-// rather than allocating a ForCore sub-bank.
+// straight off the shared bank, through its per-core index, rather than
+// allocating a ForCore sub-bank or walking every core's sensors.
 func readCoreRegFiles(ctx *Context, core int) (tInt, tFP float64) {
-	for i := range ctx.Bank.Sensors {
+	for _, i := range ctx.Bank.CoreSensors(core) {
 		s := &ctx.Bank.Sensors[i]
-		if s.Core != core {
-			continue
-		}
 		v := float64(s.Read(ctx.BlockTemps, ctx.Tick))
 		switch ctx.FP.Blocks[s.Block].Kind {
 		case floorplan.KindIntRegFile:

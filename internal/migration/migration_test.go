@@ -1,6 +1,7 @@
 package migration
 
 import (
+	"math/rand"
 	"testing"
 
 	"multitherm/internal/control"
@@ -104,6 +105,73 @@ func TestReadHotspotsIdentifiesCritical(t *testing.T) {
 	}
 	if hs[1].critical != floorplan.KindFPRegFile {
 		t.Errorf("core 1 critical = %v, want fp regfile", hs[1].critical)
+	}
+}
+
+// TestReadCoreRegFilesMatchesScan checks the indexed per-core read
+// against the full-bank scan it replaced, on the 16x16 grid's hotspot
+// bank with noisy sensors and random temperatures, and on a CMP4 bank
+// whose cores interleave and whose core 2 carries a second
+// integer-register-file sensor, where the later reading must win.
+func TestReadCoreRegFilesMatchesScan(t *testing.T) {
+	scan := func(ctx *Context, core int) (tInt, tFP float64) {
+		for i := range ctx.Bank.Sensors {
+			s := &ctx.Bank.Sensors[i]
+			if s.Core != core {
+				continue
+			}
+			v := float64(s.Read(ctx.BlockTemps, ctx.Tick))
+			switch ctx.FP.Blocks[s.Block].Kind {
+			case floorplan.KindIntRegFile:
+				tInt = v
+			case floorplan.KindFPRegFile:
+				tFP = v
+			}
+		}
+		return tInt, tFP
+	}
+	grid, err := floorplan.Grid(floorplan.GridSpec{Rows: 16, Cols: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gridBank, err := sensor.CoreHotspots(grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range gridBank.Sensors {
+		gridBank.Sensors[i].NoiseAmplitude = 0.5
+	}
+	cmp := floorplan.CMP4()
+	cmpBank, err := sensor.CoreHotspots(cmp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := cmpBank.Sensors
+	s[1], s[2], s[5], s[6] = s[2], s[1], s[6], s[5] // cores 0 1 0 1 2 3 2 3
+	cmpBank.Sensors = append(s, sensor.Sensor{Block: cmp.FindCoreBlock(2, floorplan.KindIntRegFile), Core: 2, Offset: 3})
+
+	rng := rand.New(rand.NewSource(17))
+	for _, tc := range []struct {
+		fp   *floorplan.Floorplan
+		bank *sensor.Bank
+	}{{grid, gridBank}, {cmp, cmpBank}} {
+		ctx := &Context{FP: tc.fp, Bank: tc.bank}
+		nCores := tc.fp.NumCores()
+		for tick := int64(0); tick < 8; tick++ {
+			temps := make(units.TempVec, len(tc.fp.Blocks))
+			for i := range temps {
+				temps[i] = 60 + 30*rng.Float64()
+			}
+			ctx.BlockTemps, ctx.Tick = temps, tick
+			for c := 0; c < nCores; c++ {
+				gotInt, gotFP := readCoreRegFiles(ctx, c)
+				wantInt, wantFP := scan(ctx, c)
+				if gotInt != wantInt || gotFP != wantFP {
+					t.Fatalf("%s core %d tick %d: indexed (%v, %v), scan (%v, %v)",
+						tc.fp.Name, c, tick, gotInt, gotFP, wantInt, wantFP)
+				}
+			}
+		}
 	}
 }
 

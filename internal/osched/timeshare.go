@@ -77,18 +77,15 @@ func (s *Scheduler) RotationAssignment(now float64) []int {
 	if k > s.nCores {
 		k = s.nCores
 	}
+	// replaced marks the cores an earlier incoming process took, which
+	// no later one may take again.
+	replaced := make([]bool, len(assign))
 	for i := 0; i < k; i++ {
 		incoming := s.waitQueue[i]
 		// Victim: running process with the largest total runtime.
 		victim, worst := -1, math.Inf(-1)
 		for c, p := range assign {
-			already := false
-			for j := 0; j < i; j++ {
-				if assign[c] == s.waitQueue[j] {
-					already = true
-				}
-			}
-			if already {
+			if replaced[c] {
 				continue
 			}
 			if run := s.cumRun[p] + (now - s.stintStart[p]); run > worst {
@@ -99,6 +96,7 @@ func (s *Scheduler) RotationAssignment(now float64) []int {
 			break
 		}
 		assign[victim] = incoming
+		replaced[victim] = true
 	}
 	return assign
 }

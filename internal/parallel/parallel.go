@@ -24,6 +24,15 @@ type Task struct {
 	Cost  float64
 }
 
+// Workers resolves a requested worker count: n <= 0 selects
+// GOMAXPROCS. RunTasks and ForEach resolve theirs by this rule.
+func Workers(n int) int {
+	if n <= 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return n
+}
+
 // RunTasks executes fn(ctx, t.Index) for every task across at most
 // `workers` goroutines (<= 0 selects GOMAXPROCS) and returns after all
 // started work has finished.
@@ -46,10 +55,7 @@ func RunTasks(ctx context.Context, workers int, tasks []Task, fn func(ctx contex
 	if n == 0 {
 		return ctx.Err()
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	workers = min(workers, n)
+	workers = min(Workers(workers), n)
 
 	order := make([]Task, n)
 	copy(order, tasks)

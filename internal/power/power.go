@@ -152,7 +152,13 @@ func (c Config) DynamicScale(s units.ScaleFactor) float64 {
 //
 //mtlint:allow unit dimensionless leakage multiplier
 func (c Config) LeakageScale(tempC units.Celsius, s units.ScaleFactor) float64 {
-	v := c.VoltageAt(s) / c.VMax
+	return c.leakageAt(c.VoltageAt(s)/c.VMax, tempC)
+}
+
+// leakageAt is LeakageScale at the normalized voltage v = V/VMax.
+//
+//mtlint:allow unit dimensionless leakage multiplier
+func (c Config) leakageAt(v float64, tempC units.Celsius) float64 {
 	return v * math.Exp(c.LeakageBeta*float64(tempC-c.LeakageT0))
 }
 
@@ -165,6 +171,11 @@ type Calculator struct {
 	maxDyn  []float64 // W at activity 1, full V/f, per block
 	leak0   []float64 // W at T0, VMax, per block
 	leakSum float64
+
+	// coreBlocks[c] lists core c's blocks and sharedBlocks the blocks no
+	// core owns, so BlockPower works out each operating point once.
+	coreBlocks   [][]int
+	sharedBlocks []int
 }
 
 // NewCalculator builds a Calculator for the floorplan.
@@ -184,6 +195,7 @@ func NewCalculator(fp *floorplan.Floorplan, cfg Config) (*Calculator, error) {
 		c.leak0[i] = cfg.LeakagePerArea * b.Area()
 		c.leakSum += c.leak0[i]
 	}
+	c.coreBlocks, c.sharedBlocks = fp.BlocksByCore()
 	return c, nil
 }
 
@@ -210,39 +222,65 @@ type CoreState struct {
 //     by SharedCore use full speed unless every core is stalled),
 //   - temps: per-block temperatures for leakage feedback.
 //
-// dst may be nil. The returned slice has one entry per block.
+// dst may be nil. The returned slice has one entry per block. Blocks
+// are visited by owning core, so each core's dynamic scale and voltage
+// are computed once per call; only the leakage exponential is per
+// block.
+//
+//mtlint:zeroalloc
 func (c *Calculator) BlockPower(dst units.PowerVec, activity []float64, cores []CoreState, temps units.TempVec) units.PowerVec {
 	nb := len(c.fp.Blocks)
 	if len(activity) != nb || len(temps) != nb {
-		panic(fmt.Sprintf("power: activity/temps length %d/%d, want %d", len(activity), len(temps), nb))
+		badLengths(len(activity), len(temps), nb)
 	}
 	if dst == nil {
-		dst = units.MakePowerVec(nb)
+		dst = newPowerVec(nb)
 	}
-	allStalled := true
+	shared := CoreState{Scale: 1, Stalled: true}
 	for _, cs := range cores {
 		if !cs.Stalled {
-			allStalled = false
+			shared.Stalled = false
 			break
 		}
 	}
-	for i, b := range c.fp.Blocks {
-		scale, stalled := units.ScaleFactor(1), allStalled
-		if b.Core != floorplan.SharedCore && b.Core < len(cores) {
-			scale = cores[b.Core].Scale
-			stalled = cores[b.Core].Stalled
+	for core, blocks := range c.coreBlocks {
+		cs := shared // a core with no state runs like the shared blocks
+		if core < len(cores) {
+			cs = cores[core]
 		}
-		dyn := c.maxDyn[i] * activity[i] * c.cfg.DynamicScale(scale)
-		if stalled {
-			// Clock-gated: voltage stays up, clocks stop.
-			dyn = c.maxDyn[i] * activity[i] * c.cfg.StallDynFraction
-			scale = 1 // leakage at full voltage while gated
-		}
-		leak := c.leak0[i] * c.cfg.LeakageScale(units.Celsius(temps[i]), scale)
-		dst[i] = dyn + leak
+		c.blocksPower(dst, blocks, cs, activity, temps)
 	}
+	c.blocksPower(dst, c.sharedBlocks, shared, activity, temps)
 	return dst
 }
+
+// blocksPower fills dst for blocks that share one operating point.
+func (c *Calculator) blocksPower(dst units.PowerVec, blocks []int, cs CoreState, activity []float64, temps units.TempVec) {
+	// Clock-gated: voltage stays up, clocks stop, and leakage runs at
+	// full voltage.
+	dynScale, scale := c.cfg.StallDynFraction, units.ScaleFactor(1)
+	if !cs.Stalled {
+		dynScale, scale = c.cfg.DynamicScale(cs.Scale), cs.Scale
+	}
+	v := c.cfg.VoltageAt(scale) / c.cfg.VMax
+	for _, i := range blocks {
+		dyn := c.maxDyn[i] * activity[i] * dynScale
+		leak := c.leak0[i] * c.cfg.leakageAt(v, units.Celsius(temps[i]))
+		dst[i] = dyn + leak
+	}
+}
+
+// badLengths and newPowerVec live outside BlockPower so the formatting
+// and the nil-dst allocation stay off the hot function's escape
+// analysis.
+//
+//go:noinline
+func badLengths(activity, temps, want int) {
+	panic(fmt.Sprintf("power: activity/temps length %d/%d, want %d", activity, temps, want))
+}
+
+//go:noinline
+func newPowerVec(n int) units.PowerVec { return units.MakePowerVec(n) }
 
 // ChipLeakageAt returns total chip leakage if every block sat at the
 // given temperature and scale — a calibration aid.

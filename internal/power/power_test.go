@@ -2,6 +2,7 @@ package power
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -202,6 +203,90 @@ func TestBlockPowerScalesWithDVFS(t *testing.T) {
 			}
 		} else if half[i] != full[i] {
 			t.Errorf("block %s changed power though its core did not scale", b.Name)
+		}
+	}
+}
+
+// blockPowerOracle is BlockPower's loop before the per-core index: one
+// pass over the floorplan, each block working out its core's operating
+// point, dynamic scale and voltage itself.
+func blockPowerOracle(c *Calculator, activity []float64, cores []CoreState, temps units.TempVec) units.PowerVec {
+	dst := units.MakePowerVec(len(c.fp.Blocks))
+	allStalled := true
+	for _, cs := range cores {
+		if !cs.Stalled {
+			allStalled = false
+			break
+		}
+	}
+	for i, b := range c.fp.Blocks {
+		scale, stalled := units.ScaleFactor(1), allStalled
+		if b.Core != floorplan.SharedCore && b.Core < len(cores) {
+			scale = cores[b.Core].Scale
+			stalled = cores[b.Core].Stalled
+		}
+		dyn := c.maxDyn[i] * activity[i] * c.cfg.DynamicScale(scale)
+		if stalled {
+			dyn = c.maxDyn[i] * activity[i] * c.cfg.StallDynFraction
+			scale = 1
+		}
+		leak := c.leak0[i] * c.cfg.LeakageScale(units.Celsius(temps[i]), scale)
+		dst[i] = dyn + leak
+	}
+	return dst
+}
+
+// TestBlockPowerMatchesPerBlockOracle pins the per-core BlockPower to
+// the per-block loop bit for bit, over random states on CMP4 and the
+// 16x16 grid, with and without a voltage floor. The states cover
+// stalled cores, every core stalled, scales at SMin and at 1, and cores
+// slices shorter than the core count — down to empty — whose missing
+// cores run like the shared blocks. BlockPower must not allocate into
+// a caller's dst.
+func TestBlockPowerMatchesPerBlockOracle(t *testing.T) {
+	grid, err := floorplan.Grid(floorplan.GridSpec{Rows: 16, Cols: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	floored := DefaultConfig()
+	floored.VFloor = 0.7
+	rng := rand.New(rand.NewSource(11))
+	for _, fp := range []*floorplan.Floorplan{floorplan.CMP4(), grid} {
+		for _, cfg := range []Config{DefaultConfig(), floored} {
+			calc, err := NewCalculator(fp, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nb, nc := len(fp.Blocks), fp.NumCores()
+			activity := make([]float64, nb)
+			temps := make(units.TempVec, nb)
+			dst := units.MakePowerVec(nb)
+			var cores []CoreState
+			for trial := 0; trial < 36; trial++ {
+				for i := range activity {
+					activity[i] = rng.Float64()
+					temps[i] = 45 + 60*rng.Float64()
+				}
+				mode := trial % 6
+				cores = make([]CoreState, []int{nc, nc, nc, nc, nc / 2, 0}[mode])
+				for c := range cores {
+					s := []units.ScaleFactor{cfg.SMin, 1, cfg.SMin + (1-cfg.SMin)*units.ScaleFactor(rng.Float64())}[rng.Intn(3)]
+					cores[c] = CoreState{Scale: s, Stalled: mode == 3 || rng.Intn(4) == 0}
+				}
+				want := blockPowerOracle(calc, activity, cores, temps)
+				got := calc.BlockPower(dst, activity, cores, temps)
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("%s VFloor %g trial %d block %d: BlockPower %v, per-block loop %v",
+							fp.Name, cfg.VFloor, trial, i, got[i], want[i])
+					}
+				}
+			}
+			if allocs := testing.AllocsPerRun(20, func() {
+				calc.BlockPower(dst, activity, cores, temps)
+			}); allocs != 0 {
+				t.Errorf("%s: BlockPower allocates %v times with a non-nil dst", fp.Name, allocs)
+			}
 		}
 	}
 }

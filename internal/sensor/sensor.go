@@ -62,8 +62,19 @@ func noise(seed, n uint64) float64 {
 
 // Bank is an ordered set of sensors, typically one core's watched
 // hotspots or the whole chip's sensor complement.
+//
+// The per-core readers walk an index of the sensors by owning core,
+// built on their first call and rebuilt whenever len(Sensors) changes.
+// Changing a sensor's Core in place after that first call therefore
+// needs a fresh Bank, and a Bank is not safe for concurrent use.
 type Bank struct {
 	Sensors []Sensor
+
+	// byCore[c-lo] lists the positions in Sensors of core c's sensors,
+	// in declaration order; indexed is len(Sensors) at the last build.
+	byCore  [][]int
+	lo      int
+	indexed int
 }
 
 // Hottest returns the maximum reading across the bank and the index
@@ -95,7 +106,7 @@ func (b *Bank) ReadAll(dst units.TempVec, temps units.TempVec, n int64) units.Te
 
 // ForCore returns the sub-bank of sensors owned by the given core.
 // It allocates a fresh bank; per-tick readers should use HottestForCore
-// or filter Sensors by Core in place instead.
+// or CoreSensors instead.
 func (b *Bank) ForCore(core int) *Bank {
 	out := &Bank{}
 	for _, s := range b.Sensors {
@@ -106,21 +117,51 @@ func (b *Bank) ForCore(core int) *Bank {
 	return out
 }
 
+// CoreSensors returns the positions in Sensors of the sensors the
+// given core owns, in declaration order, or nil if it owns none. The
+// slice belongs to the bank's per-core index and must not be modified.
+func (b *Bank) CoreSensors(core int) []int {
+	if b.indexed != len(b.Sensors) {
+		b.buildIndex()
+	}
+	if c := core - b.lo; c >= 0 && c < len(b.byCore) {
+		return b.byCore[c]
+	}
+	return nil
+}
+
+// buildIndex groups the sensor positions by owning core, in one pass
+// over the bank.
+func (b *Bank) buildIndex() {
+	b.byCore, b.lo, b.indexed = nil, 0, len(b.Sensors)
+	if len(b.Sensors) == 0 {
+		return
+	}
+	hi := 0
+	for i := range b.Sensors {
+		b.lo = min(b.lo, b.Sensors[i].Core)
+		hi = max(hi, b.Sensors[i].Core)
+	}
+	b.byCore = make([][]int, hi-b.lo+1)
+	for i := range b.Sensors {
+		c := b.Sensors[i].Core - b.lo
+		b.byCore[c] = append(b.byCore[c], i)
+	}
+}
+
 // HottestForCore returns the maximum reading across the sensors owned
 // by the given core and the index (within this bank) of the sensor that
 // produced it. Readings and scan order match ForCore(core).Hottest
 // exactly — sensors keep their declaration order either way, and the
-// first maximum wins — but nothing is allocated, so throttlers can call
+// first maximum wins — but only the core's own sensors are read, through
+// the per-core index, and nothing is allocated, so throttlers can call
 // it every control tick. Panics if the core owns no sensors, like
 // Hottest on an empty bank.
 //
 //mtlint:zeroalloc
 func (b *Bank) HottestForCore(core int, temps units.TempVec, n int64) (units.Celsius, int) {
 	max, idx := units.Celsius(math.Inf(-1)), -1
-	for i := range b.Sensors {
-		if b.Sensors[i].Core != core {
-			continue
-		}
+	for _, i := range b.CoreSensors(core) {
 		if v := b.Sensors[i].Read(temps, n); v > max {
 			max, idx = v, i
 		}
@@ -148,9 +189,24 @@ func (b *Bank) noSensorsForCore(core int) {
 func CoreHotspots(fp *floorplan.Floorplan) (*Bank, error) {
 	b := &Bank{}
 	n := fp.NumCores()
+	byCore, _ := fp.BlocksByCore()
 	for core := 0; core < n; core++ {
-		irf := fp.FindCoreBlock(core, floorplan.KindIntRegFile)
-		fprf := fp.FindCoreBlock(core, floorplan.KindFPRegFile)
+		// The first block of each kind, as FindCoreBlock would pick.
+		irf, fprf := -1, -1
+		if core < len(byCore) {
+			for _, i := range byCore[core] {
+				switch fp.Blocks[i].Kind {
+				case floorplan.KindIntRegFile:
+					if irf < 0 {
+						irf = i
+					}
+				case floorplan.KindFPRegFile:
+					if fprf < 0 {
+						fprf = i
+					}
+				}
+			}
+		}
 		if irf < 0 || fprf < 0 {
 			return nil, fmt.Errorf("sensor: core %d lacks register-file blocks", core)
 		}

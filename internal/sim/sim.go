@@ -188,14 +188,7 @@ func newRunner(cfg Config, spec core.PolicySpec, label string, benchmarks []stri
 	for i := range r.prevScale {
 		r.prevScale[i] = 1.0
 	}
-	r.coreBlocks = make([][]int, nCores)
-	for i, b := range cfg.Floorplan.Blocks {
-		if b.Core == floorplan.SharedCore {
-			r.sharedBlocks = append(r.sharedBlocks, i)
-		} else if b.Core >= 0 && b.Core < nCores {
-			r.coreBlocks[b.Core] = append(r.coreBlocks[b.Core], i)
-		}
-	}
+	r.coreBlocks, r.sharedBlocks = cfg.Floorplan.BlocksByCore()
 
 	// One looping trace per benchmark (Figure 2's Turandot + PowerTimer
 	// stage), recorded once per (config, benchmark) and shared; each
