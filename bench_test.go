@@ -14,6 +14,7 @@ import (
 	"multitherm/internal/control"
 	"multitherm/internal/core"
 	"multitherm/internal/floorplan"
+	"multitherm/internal/power"
 	"multitherm/internal/sensor"
 	"multitherm/internal/sim"
 	"multitherm/internal/thermal"
@@ -365,6 +366,47 @@ func BenchmarkAblationThermalStepSize(b *testing.B) {
 			}
 		})
 	}
+}
+
+// benchBlockPower measures one power.Calculator.BlockPower call — the
+// per-tick power layer, whose cost is mostly the per-block leakage
+// exponential — with every core at full speed and block temperatures
+// spread over 60–100 °C.
+func benchBlockPower(b *testing.B, fp *floorplan.Floorplan) {
+	calc, err := power.NewCalculator(fp, power.DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	nb := len(fp.Blocks)
+	activity := make([]float64, nb)
+	temps := make(units.TempVec, nb)
+	for i := range temps {
+		activity[i] = 0.3 + 0.1*float64(i%7)
+		temps[i] = 60 + 40*float64(i)/float64(nb)
+	}
+	cores := make([]power.CoreState, fp.NumCores())
+	for c := range cores {
+		cores[c] = power.CoreState{Scale: 1}
+	}
+	dst := units.MakePowerVec(nb)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		calc.BlockPower(dst, activity, cores, temps)
+	}
+}
+
+// BenchmarkBlockPowerCMP4 is the power layer of the paper's 4-core
+// tick (45 blocks).
+func BenchmarkBlockPowerCMP4(b *testing.B) { benchBlockPower(b, floorplan.CMP4()) }
+
+// BenchmarkBlockPower16x16 is the power layer of the 256-core grid
+// (1024 blocks).
+func BenchmarkBlockPower16x16(b *testing.B) {
+	fp, err := floorplan.Grid(floorplan.GridSpec{Rows: 16, Cols: 16})
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchBlockPower(b, fp)
 }
 
 // BenchmarkSensorRead measures the hottest-of-bank reduction feeding

@@ -214,3 +214,53 @@ func FuzzExpm(f *testing.F) {
 		}
 	})
 }
+
+// FuzzExpInto is the differential target for expKernel: ExpInto (the
+// vector kernel when available) against the generic twin expGeneric,
+// math.Exp per element, bit for bit — into a fresh dst and in place.
+// Each input expands into a vector of up to 40 elements, enough for
+// whole chunks plus a tail, that mixes the two fuzzed values and their
+// neighbours with random finite values and random bit patterns, so the
+// fuzzer steers the edge cases while the PRNG decides which lanes and
+// chunks they land in.
+func FuzzExpInto(f *testing.F) {
+	f.Add(int64(1), uint8(40), -0.68, 0.34)             // leakage exponents at 45 and 105 °C
+	f.Add(int64(2), uint8(17), expDomain, -expDomain)   // the kernel's domain bound
+	f.Add(int64(3), uint8(9), 709.78, -745.1)           // overflow and underflow edges
+	f.Add(int64(4), uint8(8), math.NaN(), math.Inf(-1)) // specials in one full chunk
+	f.Fuzz(func(t *testing.T, seed int64, nIn uint8, a, b float64) {
+		n := int(nIn) % 41
+		rng := rand.New(rand.NewSource(seed))
+		x := make([]float64, n)
+		for i := range x {
+			switch rng.Intn(6) {
+			case 0:
+				x[i] = a
+			case 1:
+				x[i] = b
+			case 2:
+				x[i] = math.Nextafter(a, b)
+			case 3:
+				x[i] = math.Nextafter(b, a)
+			case 4:
+				x[i] = -745 + 1455*rng.Float64()
+			default:
+				x[i] = math.Float64frombits(rng.Uint64())
+			}
+		}
+		want := make([]float64, n)
+		expGeneric(want, x)
+		got := make([]float64, n)
+		ExpInto(got, x)
+		inPlace := append([]float64(nil), x...)
+		ExpInto(inPlace, inPlace)
+		for i, v := range x {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("n=%d element %d: ExpInto(%v) = %v, math.Exp = %v", n, i, v, got[i], want[i])
+			}
+			if math.Float64bits(inPlace[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("n=%d element %d, in place: ExpInto(%v) = %v, math.Exp = %v", n, i, v, inPlace[i], want[i])
+			}
+		}
+	})
+}

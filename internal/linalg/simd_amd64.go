@@ -31,6 +31,19 @@ func fusedTick64(m *float64, cols int, x *float64, bias *float64, y *float64)
 //go:noescape
 func fusedTickBatch56x4(m *float64, cols int, x *float64, xStride int, bias *float64, y *float64, k int)
 
+// expKernel sets dst[i] = math.Exp(x[i]) for i in [0,n), eight lanes
+// at a time, with the same IEEE operations in the same order as the FMA
+// branch of the runtime's amd64 archExp. It stops at the first chunk
+// holding a lane outside |x| ≤ expDomain (NaN, ±Inf, or past the
+// bound): that chunk's in-domain lanes are stored, its other lanes are
+// left unwritten, and it returns the chunk's start index and its
+// out-of-domain lane mask (bit j for lane j). Otherwise it returns n
+// and 0. Implemented in simd_amd64.s; only called when expAvailable.
+//
+//mtlint:generic expGeneric tested-by FuzzExpInto
+//go:noescape
+func expKernel(dst, x *float64, n int) (stop int, oob uint8)
+
 // cpuid executes the CPUID instruction for the given leaf/subleaf.
 //
 //mtlint:nogeneric feature-detection primitive, no arithmetic to mirror
@@ -42,6 +55,19 @@ func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
 
 var simdAvailable = detectAVX512()
+
+// expAvailable gates expKernel. Beyond AVX-512F it needs the FMA bit
+// (CPUID.1:ECX bit 12): math.Exp takes archExp's FMA branch only when
+// the CPU has AVX and FMA, and the kernel repeats that branch, so on a
+// CPU without FMA the scalar call would round differently.
+var expAvailable = simdAvailable && detectFMA()
+
+// detectFMA reports the FMA feature bit.
+func detectFMA() bool {
+	_, _, c1, _ := cpuid(1, 0)
+	const fma = 1 << 12
+	return c1&fma != 0
+}
 
 // detectAVX512 reports whether the CPU and OS support the AVX-512F
 // instructions the packed kernel uses: XSAVE/OSXSAVE enabled, XCR0

@@ -287,3 +287,150 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	MOVL AX, eax+0(FP)
 	MOVL DX, edx+4(FP)
 	RET
+
+// Constants of expKernel, one per ZMM register Z16–Z31. The float
+// values are those of the runtime's math/exp_amd64.s, written with the
+// same decimal literals so the assembler rounds them to the same
+// float64s; the last three are the domain bound, the sign-clearing mask
+// and the exponent bias.
+DATA expconst<>+0(SB)/8, $1.4426950408889634073599246810018920                   // log2(e)
+DATA expconst<>+8(SB)/8, $0.69314718055966295651160180568695068359375             // ln 2, upper half
+DATA expconst<>+16(SB)/8, $0.28235290563031577122588448175013436025525412068e-12 // ln 2, lower half
+DATA expconst<>+24(SB)/8, $0.0625
+DATA expconst<>+32(SB)/8, $2.4801587301587301587e-5 // 1/8!
+DATA expconst<>+40(SB)/8, $1.9841269841269841270e-4 // 1/7!
+DATA expconst<>+48(SB)/8, $1.3888888888888888889e-3 // 1/6!
+DATA expconst<>+56(SB)/8, $8.3333333333333333333e-3 // 1/5!
+DATA expconst<>+64(SB)/8, $4.1666666666666666667e-2 // 1/4!
+DATA expconst<>+72(SB)/8, $1.6666666666666666667e-1 // 1/3!
+DATA expconst<>+80(SB)/8, $0.5
+DATA expconst<>+88(SB)/8, $1.0
+DATA expconst<>+96(SB)/8, $2.0
+DATA expconst<>+104(SB)/8, $708.0 // expDomain
+DATA expconst<>+112(SB)/8, $0x7fffffffffffffff
+DATA expconst<>+120(SB)/8, $1023
+GLOBL expconst<>(SB), RODATA|NOPTR, $128
+
+// func expKernel(dst, x *float64, n int) (stop int, oob uint8)
+//
+// dst[i] = math.Exp(x[i]) for i in [0,n), eight lanes per chunk. Each
+// lane runs the straight-line FMA branch of the runtime's amd64
+// archExp, op for op and in the same order:
+//
+//	k = round(x·log2e)                      VCVTPD2DQ, MXCSR rounding (CVTSD2SL)
+//	r = x − k·ln2U, then r −= k·ln2L        two fused negated multiply-adds
+//	r ×= 1/16
+//	p = ((((((1/8!·r + 1/7!)·r + …)·r + 1/2)·r + 1   seven fused steps
+//	y = r·p; y = (y+2)·y three times; y = (y+2)·y + 1 fused
+//	y ×= 2^k                                 (k+1023)<<52 as a float64
+//
+// so every lane is bit-identical to the scalar call. The straight line
+// holds only for |x| ≤ 708 (expDomain): there k stays in [−1021, 1021]
+// and archExp takes none of its NaN, Inf, overflow or denormal
+// branches. A VCMPPD (ordered ≤, so NaN fails) masks the store to the
+// lanes inside it. The first chunk with an active lane outside the
+// domain ends the call: its in-domain lanes are stored, the others are
+// left untouched, and the chunk's start index and out-of-domain lane
+// mask are returned. Otherwise the result is (n, 0). The last partial
+// chunk runs under a masked (zeroing) load and store, so no lane past n
+// is read or written.
+//
+// Registers: Z0 x, then r, then the result; Z1 |x|, then x·log2e, then
+// k as a float64, then the 2^k scale; Y2 k as int32; Z3 the polynomial
+// and the (y+2) factors; K1 active lanes, K2 active in-domain lanes, K3
+// their difference.
+TEXT ·expKernel(SB), NOSPLIT, $0-33
+	MOVQ dst+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ n+16(FP), R8
+
+	LEAQ         expconst<>(SB), R9
+	VBROADCASTSD 0(R9), Z16
+	VBROADCASTSD 8(R9), Z17
+	VBROADCASTSD 16(R9), Z18
+	VBROADCASTSD 24(R9), Z19
+	VBROADCASTSD 32(R9), Z20
+	VBROADCASTSD 40(R9), Z21
+	VBROADCASTSD 48(R9), Z22
+	VBROADCASTSD 56(R9), Z23
+	VBROADCASTSD 64(R9), Z24
+	VBROADCASTSD 72(R9), Z25
+	VBROADCASTSD 80(R9), Z26
+	VBROADCASTSD 88(R9), Z27
+	VBROADCASTSD 96(R9), Z28
+	VBROADCASTSD 104(R9), Z29
+	VBROADCASTSD 112(R9), Z30
+	VBROADCASTSD 120(R9), Z31
+
+	XORQ  AX, AX            // chunk start index
+	MOVL  $0xff, DX
+	KMOVW DX, K1            // all eight lanes active
+
+chunk:
+	MOVQ R8, CX
+	SUBQ AX, CX             // lanes left
+	JLE  done
+	CMPQ CX, $8
+	JGE  full
+
+	// Last partial chunk: K1 = (1<<left) − 1.
+	MOVL      $1, DX
+	SHLL      CX, DX
+	DECL      DX
+	KMOVW     DX, K1
+	VMOVUPD.Z (SI)(AX*8), K1, Z0
+	JMP       body
+
+full:
+	VMOVUPD (SI)(AX*8), Z0
+
+body:
+	VPANDQ       Z30, Z0, Z1
+	VCMPPD       $0x12, Z29, Z1, K1, K2 // K2 = K1 ∧ (|x| ≤ expDomain), LE_OQ
+	VMULPD       Z16, Z0, Z1
+	VCVTPD2DQ    Z1, Y2
+	VCVTDQ2PD    Y2, Z1
+	VFNMADD231PD Z17, Z1, Z0
+	VFNMADD231PD Z18, Z1, Z0
+	VMULPD       Z19, Z0, Z0
+	VMOVAPD      Z20, Z3
+	VFMADD213PD  Z21, Z0, Z3
+	VFMADD213PD  Z22, Z0, Z3
+	VFMADD213PD  Z23, Z0, Z3
+	VFMADD213PD  Z24, Z0, Z3
+	VFMADD213PD  Z25, Z0, Z3
+	VFMADD213PD  Z26, Z0, Z3
+	VFMADD213PD  Z27, Z0, Z3
+	VMULPD       Z3, Z0, Z0
+	VADDPD       Z28, Z0, Z3
+	VMULPD       Z3, Z0, Z0
+	VADDPD       Z28, Z0, Z3
+	VMULPD       Z3, Z0, Z0
+	VADDPD       Z28, Z0, Z3
+	VMULPD       Z3, Z0, Z0
+	VADDPD       Z28, Z0, Z3
+	VFMADD213PD  Z27, Z3, Z0
+	VPMOVSXDQ    Y2, Z1
+	VPADDQ       Z31, Z1, Z1
+	VPSLLQ       $52, Z1, Z1
+	VMULPD       Z1, Z0, Z0
+	VMOVUPD      Z0, K2, (DI)(AX*8)
+
+	KXORW    K2, K1, K3
+	KORTESTW K3, K3
+	JNZ      spill
+	ADDQ     $8, AX
+	JMP      chunk
+
+done:
+	MOVQ R8, stop+24(FP)
+	MOVB $0, oob+32(FP)
+	VZEROUPPER
+	RET
+
+spill:
+	MOVQ  AX, stop+24(FP)
+	KMOVW K3, DX
+	MOVB  DX, oob+32(FP)
+	VZEROUPPER
+	RET

@@ -15,6 +15,7 @@ import (
 	"math"
 
 	"multitherm/internal/floorplan"
+	"multitherm/internal/linalg"
 	"multitherm/internal/units"
 )
 
@@ -152,13 +153,7 @@ func (c Config) DynamicScale(s units.ScaleFactor) float64 {
 //
 //mtlint:allow unit dimensionless leakage multiplier
 func (c Config) LeakageScale(tempC units.Celsius, s units.ScaleFactor) float64 {
-	return c.leakageAt(c.VoltageAt(s)/c.VMax, tempC)
-}
-
-// leakageAt is LeakageScale at the normalized voltage v = V/VMax.
-//
-//mtlint:allow unit dimensionless leakage multiplier
-func (c Config) leakageAt(v float64, tempC units.Celsius) float64 {
+	v := c.VoltageAt(s) / c.VMax
 	return v * math.Exp(c.LeakageBeta*float64(tempC-c.LeakageT0))
 }
 
@@ -222,10 +217,11 @@ type CoreState struct {
 //     by SharedCore use full speed unless every core is stalled),
 //   - temps: per-block temperatures for leakage feedback.
 //
-// dst may be nil. The returned slice has one entry per block. Blocks
-// are visited by owning core, so each core's dynamic scale and voltage
-// are computed once per call; only the leakage exponential is per
-// block.
+// dst may be nil, and must not alias activity or temps. The returned
+// slice has one entry per block. The leakage exponentials run first, as
+// one linalg.ExpInto pass over dst; blocks are then visited by owning
+// core, so each core's dynamic scale and voltage are computed once per
+// call.
 //
 //mtlint:zeroalloc
 func (c *Calculator) BlockPower(dst units.PowerVec, activity []float64, cores []CoreState, temps units.TempVec) units.PowerVec {
@@ -236,6 +232,13 @@ func (c *Calculator) BlockPower(dst units.PowerVec, activity []float64, cores []
 	if dst == nil {
 		dst = newPowerVec(nb)
 	}
+	// Block i's leakage exponent β(T_i−T0), exponentiated in place;
+	// blocksPower reads dst[i] back before overwriting it with watts.
+	for i, t := range temps {
+		dst[i] = c.cfg.LeakageBeta * float64(units.Celsius(t)-c.cfg.LeakageT0)
+	}
+	exps := dst[:nb].Raw()
+	linalg.ExpInto(exps, exps)
 	shared := CoreState{Scale: 1, Stalled: true}
 	for _, cs := range cores {
 		if !cs.Stalled {
@@ -248,14 +251,15 @@ func (c *Calculator) BlockPower(dst units.PowerVec, activity []float64, cores []
 		if core < len(cores) {
 			cs = cores[core]
 		}
-		c.blocksPower(dst, blocks, cs, activity, temps)
+		c.blocksPower(dst, blocks, cs, activity)
 	}
-	c.blocksPower(dst, c.sharedBlocks, shared, activity, temps)
+	c.blocksPower(dst, c.sharedBlocks, shared, activity)
 	return dst
 }
 
-// blocksPower fills dst for blocks that share one operating point.
-func (c *Calculator) blocksPower(dst units.PowerVec, blocks []int, cs CoreState, activity []float64, temps units.TempVec) {
+// blocksPower fills dst for blocks that share one operating point,
+// reading each block's leakage exponential from dst first.
+func (c *Calculator) blocksPower(dst units.PowerVec, blocks []int, cs CoreState, activity []float64) {
 	// Clock-gated: voltage stays up, clocks stop, and leakage runs at
 	// full voltage.
 	dynScale, scale := c.cfg.StallDynFraction, units.ScaleFactor(1)
@@ -265,7 +269,7 @@ func (c *Calculator) blocksPower(dst units.PowerVec, blocks []int, cs CoreState,
 	v := c.cfg.VoltageAt(scale) / c.cfg.VMax
 	for _, i := range blocks {
 		dyn := c.maxDyn[i] * activity[i] * dynScale
-		leak := c.leak0[i] * c.cfg.leakageAt(v, units.Celsius(temps[i]))
+		leak := c.leak0[i] * (v * dst[i]) // LeakageScale's association
 		dst[i] = dyn + leak
 	}
 }

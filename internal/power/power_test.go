@@ -291,6 +291,41 @@ func TestBlockPowerMatchesPerBlockOracle(t *testing.T) {
 	}
 }
 
+// TestBlockPowerMatchesOracleOutsideExpKernelDomain drives the leakage
+// exponent β(T−T0) past ±708, where linalg.ExpInto hands elements back
+// to math.Exp. A steep β of 12/°C over 0–200 °C spans exponents from
+// −1020 to 1380, so the same 8-block chunks mix vector lanes with
+// overflowing (+Inf W), denormal and zero leakage. BlockPower must still
+// match the per-block oracle bit for bit.
+func TestBlockPowerMatchesOracleOutsideExpKernelDomain(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.LeakageBeta = 12
+	fp := floorplan.CMP4()
+	calc, err := NewCalculator(fp, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nb := len(fp.Blocks)
+	activity := make([]float64, nb)
+	temps := make(units.TempVec, nb)
+	cores := []CoreState{{Scale: 1}, {Scale: 0.5}, {Scale: 1, Stalled: true}, {Scale: cfg.SMin}}
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 20; trial++ {
+		for i := range temps {
+			activity[i] = rng.Float64()
+			temps[i] = 200 * rng.Float64()
+		}
+		want := blockPowerOracle(calc, activity, cores, temps)
+		got := calc.BlockPower(nil, activity, cores, temps)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("trial %d block %d at %.3f °C: BlockPower %v, per-block loop %v",
+					trial, i, temps[i], got[i], want[i])
+			}
+		}
+	}
+}
+
 func TestBlockPowerMonotoneInScaleProperty(t *testing.T) {
 	calc := newCalc(t)
 	fp := floorplan.CMP4()
