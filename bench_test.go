@@ -42,35 +42,13 @@ func BenchmarkThermalStep(b *testing.B) {
 	}
 }
 
-// BenchmarkThermalStepExpm measures the same 28 µs step through the
-// exact ZOH discretization (T ← Φ·T + Ψ·u, no truncation error): one
-// fused pass over the dense packed propagator instead of the four RK4
-// stages. Compare against BenchmarkThermalStep for the speedup; power
-// is held constant here, so the memoized input term Ψ·P + ψ_amb is
-// reused across ticks just as in a fixed-power thermal study.
-func BenchmarkThermalStepExpm(b *testing.B) {
-	m, err := thermal.New(floorplan.CMP4(), thermal.DefaultParams())
-	if err != nil {
-		b.Fatal(err)
-	}
-	p := make(units.PowerVec, m.NumBlocks())
-	for i := range p {
-		p[i] = 1.5
-	}
-	m.SetPower(p)
-	if err := m.UseExact(control.PaperSamplePeriod); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Step(control.PaperSamplePeriod)
-	}
-}
-
-// BenchmarkThermalStepExpmDirty is the same exact step with SetPower
-// invalidating the memoized input term every tick — the simulator's
-// calling pattern under leakage-temperature feedback (both the Φ pass
-// and the Ψ pass run each iteration).
+// BenchmarkThermalStepExpmDirty measures the same 28 µs step through
+// the exact ZOH discretization (T ← Φ·T + Ψ·u, no truncation error):
+// one Ψ pass and one Φ pass over the dense packed propagators in the
+// model's one-lane batch instead of the four RK4 stages, with SetPower
+// every tick — the simulator's calling pattern under
+// leakage-temperature feedback. Compare against BenchmarkThermalStep
+// for the speedup.
 func BenchmarkThermalStepExpmDirty(b *testing.B) {
 	m, err := thermal.New(floorplan.CMP4(), thermal.DefaultParams())
 	if err != nil {
@@ -92,10 +70,10 @@ func BenchmarkThermalStepExpmDirty(b *testing.B) {
 
 // benchThermalStepBatch measures one lockstep batched tick over k
 // lanes in the simulator's calling pattern (every lane's power set
-// each tick, so the fused Ψ panel pass and the Φ panel pass both run).
+// each tick, then one Ψ panel pass and one Φ panel pass).
 // ns/op is the whole batched tick; the ns/lane metric divides by k for
-// direct comparison against BenchmarkThermalStepExpmDirty, which is
-// the same work at k=1 through the unbatched path.
+// direct comparison against BenchmarkThermalStepExpmDirty, the
+// one-lane batch UseExact builds.
 func benchThermalStepBatch(b *testing.B, k int) {
 	models := make([]*thermal.Model, k)
 	powers := make([]units.PowerVec, k)
@@ -126,15 +104,14 @@ func benchThermalStepBatch(b *testing.B, k int) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*k), "ns/lane")
 }
 
-func BenchmarkThermalStepBatch1(b *testing.B)  { benchThermalStepBatch(b, 1) }
 func BenchmarkThermalStepBatch8(b *testing.B)  { benchThermalStepBatch(b, 8) }
 func BenchmarkThermalStepBatch32(b *testing.B) { benchThermalStepBatch(b, 32) }
 
 // benchGridStep measures one exact tick on a generated Rows x Cols
-// grid in the simulator's dirty-power calling pattern (SetPower every
-// tick). The 2x2 grid (26 nodes) runs the dense packed path; 4x4, 8x8,
-// and 16x16 (74/266/1034 nodes) run the sparse Krylov path. Across the
-// four sizes ns/op tests the scaling claim that per-step cost tracks
+// grid in the simulator's calling pattern (SetPower every tick). The
+// 2x2 grid (26 nodes) runs the dense packed path; 4x4, 8x8, and 16x16
+// (74/266/1034 nodes) run the sparse Krylov path. Across the four
+// sizes ns/op tests the scaling claim that per-step cost tracks
 // nonzeros, not N².
 func benchGridStep(b *testing.B, rows, cols int) {
 	fp, err := floorplan.Grid(floorplan.GridSpec{

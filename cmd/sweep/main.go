@@ -9,8 +9,13 @@
 //	sweep -list           # list artifacts
 //	sweep -simtime 0.25   # custom simulated silicon time
 //	sweep -workers 8      # fan (policy, workload) cells across 8 workers
-//	sweep -batch 8        # step 8 same-propagator cells in lockstep
 //	sweep -floorplan 16x16 -only manycore   # 256-core generated grid
+//
+// Stdout carries only the report, so two runs' outputs compare with
+// cmp; per-artifact and total wall-clock times go to stderr. Cells
+// sharing one thermal propagator step in lockstep batches of up to
+// sim.DefaultBatchSize lanes; results are identical at any worker
+// count.
 //
 //mtlint:units
 package main
@@ -35,7 +40,6 @@ func main() {
 	list := flag.Bool("list", false, "list reproducible artifacts and exit")
 	simtime := flag.Float64("simtime", 0, "simulated silicon time per run in seconds (default 0.5)")
 	workersFlag := flag.Int("workers", 0, "worker count for the cell scheduler (0 = all CPUs, 1 = sequential; results identical at any count)")
-	batch := flag.Int("batch", 0, "widest lockstep batch for cells sharing one thermal propagator (0 = auto-size from cache, 1 = no batching; narrowed so their batches cover every worker; results identical at any width)")
 	ablations := flag.Bool("ablations", false, "also run the beyond-the-paper extension/ablation artifacts")
 	gridFlag := flag.String("floorplan", "", "generated grid for the manycore artifact, as RxC (e.g. 16x16 for 256 cores)")
 	mdPath := flag.String("md", "", "also write the report as markdown to this file")
@@ -89,7 +93,6 @@ func main() {
 		opt.SimTime = units.Seconds(*simtime)
 	}
 	opt.Parallelism = *workersFlag
-	opt.Batch = *batch
 	if *gridFlag != "" {
 		spec, err := floorplan.ParseGridSpec(*gridFlag)
 		if err != nil {
@@ -141,11 +144,12 @@ func main() {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", r.Name, err)
 			os.Exit(1)
 		}
-		fmt.Printf("==> %s: %s  (%.1fs)\n\n", r.Name, r.Desc, time.Since(start).Seconds())
+		fmt.Fprintf(os.Stderr, "%s: %.1fs\n", r.Name, time.Since(start).Seconds())
+		fmt.Printf("==> %s: %s\n\n", r.Name, r.Desc)
 		fmt.Println(res.Render())
 		if md != nil {
 			fmt.Fprintf(md, "## %s — %s\n\n```text\n%s```\n\n", r.Name, r.Desc, res.Render())
 		}
 	}
-	fmt.Printf("total wall clock: %.1fs (%d workers)\n", time.Since(total).Seconds(), workers)
+	fmt.Fprintf(os.Stderr, "total wall clock: %.1fs (%d workers)\n", time.Since(total).Seconds(), workers)
 }

@@ -12,8 +12,8 @@ import (
 // throttled ones (dutyvalid), two thresholds in one grid
 // (sensitivity), capped and uncapped configs sharing one template
 // (hetero), and time-shared lanes on the sparse 4x4 grid (manycore).
-// Three mixes make the 8- and 10-wide batches straddle the variant
-// boundary, so those batches hold lanes of both configs.
+// Three mixes make the 10-wide batches of a one-worker run straddle
+// the variant boundary, so those batches hold lanes of both configs.
 var determinismCases = []struct {
 	name string
 	opt  Options
@@ -56,33 +56,41 @@ var determinismCases = []struct {
 	},
 }
 
+// oneLaneWorkers is a worker count above every determinism case's
+// cell count. runCells cuts a group into batches of at most
+// ceil(group/workers) lanes, so at this count every batch holds one
+// lane and every cell steps alone. RunTasks starts at most one worker
+// per batch, so the large count starts no more goroutines than cells.
+const oneLaneWorkers = 256
+
 // TestBatchingDoesNotChangeResults is the determinism guard for the
-// lockstep batch engine: the same study at -batch 1 (every cell runs
-// its own thermal model) and at -batch 8 (cells fused through the
-// shared-propagator panel kernel) must render byte-identical reports.
-// Any drift means the batched tick perturbed a rounding somewhere —
-// the panel kernel reordered an FMA, a lane read a neighbour's state —
-// and would silently change every batched reproduction.
+// lockstep batch engine: the same study with one worker (cells fused
+// into batches of up to sim.DefaultBatchSize lanes through the
+// shared-propagator panel kernel) and with oneLaneWorkers (every cell
+// in its own one-lane batch) must render byte-identical reports. Any
+// drift means the batched tick perturbed a rounding somewhere — the
+// panel kernel reordered an FMA, a lane read a neighbour's state — and
+// would silently change every batched reproduction.
 func TestBatchingDoesNotChangeResults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full studies twice")
 	}
 	for _, tc := range determinismCases {
 		t.Run(tc.name, func(t *testing.T) {
-			unbatched := tc.opt
-			unbatched.Batch = 1
-			a, err := tc.run(unbatched)
+			batched := tc.opt
+			batched.Parallelism = 1
+			a, err := tc.run(batched)
 			if err != nil {
 				t.Fatal(err)
 			}
-			batched := tc.opt
-			batched.Batch = 8
-			b, err := tc.run(batched)
+			alone := tc.opt
+			alone.Parallelism = oneLaneWorkers
+			b, err := tc.run(alone)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if a.Render() != b.Render() {
-				t.Errorf("%s renders differently at Batch=1 vs 8:\n--- unbatched ---\n%s\n--- batched ---\n%s",
+				t.Errorf("%s renders differently batched vs one lane per batch:\n--- batched ---\n%s\n--- one lane ---\n%s",
 					tc.name, a.Render(), b.Render())
 			}
 		})
@@ -90,35 +98,35 @@ func TestBatchingDoesNotChangeResults(t *testing.T) {
 }
 
 // TestRaggedBatchesUnderStealingDoNotChangeResults crosses the two
-// axes the batch engine mixes at runtime: odd batch widths that never
-// divide the (Template, dt) group sizes evenly (so every group ends in
-// a ragged tail), and several worker counts (so batches of one group
-// run concurrently and finish in scheduling-dependent order). The
-// rendered study must be byte-identical to the sequential unbatched
-// run — the batched-equals-sequential bit-equality guarantee.
+// axes the batch engine mixes at runtime on table8's 36-cell grid,
+// which shares one (Template, dt) key: batch cuts that leave a ragged
+// tail, and several workers (so batches of one group run concurrently
+// and finish in scheduling-dependent order). One worker cuts
+// 10,10,10,6; five cut 8,8,8,8,4; eight cut seven 5-lane batches and
+// a lone lane. The rendered study must be byte-identical to the run
+// with one lane per batch — the batched-equals-sequential bit-equality
+// guarantee.
 func TestRaggedBatchesUnderStealingDoNotChangeResults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full studies repeatedly")
 	}
 	opt := Options{SimTime: 0.01, Workloads: workload.Mixes[:3]}
 	base := opt
-	base.Parallelism, base.Batch = 1, 1
+	base.Parallelism = oneLaneWorkers
 	want, err := RunTable8(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 2, 4} {
-		for _, width := range []int{3, 5, 7} {
-			o := opt
-			o.Parallelism, o.Batch = workers, width
-			got, err := RunTable8(o)
-			if err != nil {
-				t.Fatalf("workers=%d batch=%d: %v", workers, width, err)
-			}
-			if got.Render() != want.Render() {
-				t.Errorf("workers=%d batch=%d renders differently from sequential unbatched:\n--- want ---\n%s\n--- got ---\n%s",
-					workers, width, want.Render(), got.Render())
-			}
+	for _, workers := range []int{1, 5, 8} {
+		o := opt
+		o.Parallelism = workers
+		got, err := RunTable8(o)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if got.Render() != want.Render() {
+			t.Errorf("workers=%d renders differently from one lane per batch:\n--- want ---\n%s\n--- got ---\n%s",
+				workers, want.Render(), got.Render())
 		}
 	}
 }

@@ -38,13 +38,6 @@ type Options struct {
 	// because every cell is independent and results are slotted by
 	// index, not arrival order.
 	Parallelism int
-	// Batch is the widest lockstep batch: cells sharing one thermal
-	// propagator — same template and control period — are stepped
-	// together through a fused panel update (sim.BatchRunner), which is
-	// bit-identical to running them one by one. 0 picks the cache-sized
-	// default (sim.DefaultBatchSize); 1 disables batching. Batches are
-	// cut narrower where that gives every worker a share of the cells.
-	Batch int
 	// Grid selects the generated floorplan the many-core extension
 	// runs on (cmd/sweep -floorplan). The zero value picks the
 	// experiment's 4x4 mixed-rows default.
@@ -74,13 +67,6 @@ func (o Options) simConfig() sim.Config {
 		cfg.SimTime = o.SimTime
 	}
 	return cfg
-}
-
-func (o Options) batchSize() int {
-	if o.Batch > 0 {
-		return o.Batch
-	}
-	return sim.DefaultBatchSize()
 }
 
 // mixes is the option's paper workload set as a grid population axis.
@@ -180,11 +166,13 @@ func (c cell) newRunner() (*sim.Runner, error) {
 // runCells executes the given cells and slots each result at its input
 // index. Cells are grouped by sim.BatchKey in first-seen order and each
 // group is cut into lockstep batches of consecutive cells up front
-// (cutBatches), one batch per task. Tasks are weighted by the simulated
-// time they cover, so the biggest batches start first and a straggler
-// cannot hold the sweep open alone. Batch composition depends only on
-// the cells, the width and the worker count, never on timing; results
-// are independent of all three, because batched stepping is
+// (cutBatches, at most sim.DefaultBatchSize lanes wide), one batch per
+// task. Cells sharing a key — same thermal template and control period
+// — step through one fused panel update (sim.BatchRunner). Tasks are
+// weighted by the simulated time they cover, so the biggest batches
+// start first and a straggler cannot hold the sweep open alone. Batch
+// composition depends only on the cells and the worker count, never on
+// timing; results are independent of both, because batched stepping is
 // bit-identical to sequential stepping (sim.BatchRunner's contract).
 func runCells(o Options, cells []cell) ([]*metrics.Run, error) {
 	groupOf := map[sim.BatchKey]int{}
@@ -202,7 +190,7 @@ func runCells(o Options, cells []cell) ([]*metrics.Run, error) {
 		}
 		groups[g] = append(groups[g], i)
 	}
-	batches := cutBatches(groups, o.batchSize(), parallel.Workers(o.Parallelism))
+	batches := cutBatches(groups, sim.DefaultBatchSize(), parallel.Workers(o.Parallelism))
 	tasks := make([]parallel.Task, len(batches))
 	for i, idx := range batches {
 		tasks[i] = parallel.Task{Index: i, Cost: float64(len(idx)) * float64(cells[idx[0]].cfg.SimTime)}

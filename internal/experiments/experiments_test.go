@@ -26,7 +26,7 @@ func quick(t testing.TB) Options {
 }
 
 // TestCutBatches pins the batch cut runCells makes: consecutive cells
-// in group order, no batch wider than the configured width, and each
+// in group order, no batch wider than the given width, and each
 // group spread over every worker.
 func TestCutBatches(t *testing.T) {
 	seq := func(from, n int) []int {
@@ -66,9 +66,9 @@ func TestCutBatches(t *testing.T) {
 		// One worker keeps the width-only cut.
 		{"1 worker", [][]int{seq(0, 23)}, def, 1, cut(23, def)},
 		{"1 worker, 3 cells", [][]int{seq(0, 3)}, def, 1, []int{3}},
-		// An explicit -batch width caps below the per-worker share.
-		{"explicit width", [][]int{seq(0, 12)}, Options{Batch: 4}.batchSize(), 2, []int{4, 4, 4}},
-		{"width 1", [][]int{seq(0, 3)}, Options{Batch: 1}.batchSize(), 2, []int{1, 1, 1}},
+		// A narrower width caps below the per-worker share.
+		{"explicit width", [][]int{seq(0, 12)}, 4, 2, []int{4, 4, 4}},
+		{"width 1", [][]int{seq(0, 3)}, 1, 2, []int{1, 1, 1}},
 		// Each group is cut on its own, in first-seen order.
 		{"two groups", [][]int{seq(0, 12), seq(12, 3)}, 10, 2, []int{6, 6, 2, 1}},
 		{"more workers than cells", [][]int{seq(0, 3)}, def, 8, []int{1, 1, 1}},

@@ -138,9 +138,9 @@ func (p *Propagator) Dim() int { return p.m }
 // N returns the state dimension (excluding the augmented entry).
 func (p *Propagator) N() int { return p.n }
 
-// Workspace holds every buffer Advance and AdvanceBatch touch, sized
-// for a fixed (propagator, lane count) pair, so the per-tick path
-// allocates nothing.
+// Workspace holds every buffer AdvanceBatch touches, sized for a fixed
+// (propagator, lane count) pair, so the per-tick path allocates
+// nothing.
 type Workspace struct {
 	m, n, k int
 	V       []float64 // (m+1) basis panels, each k lanes of length n+1
@@ -171,21 +171,15 @@ func newWorkspace(m, n, k int) *Workspace {
 	}
 }
 
-// Advance steps a single lane: z (length n+1, with z[n] == 1) is
-// replaced by its state one full step later under x' = A·x + c, where
-// c (length n) is the constant term scaled to one substep τ. It is
-// exactly AdvanceBatch with k = 1.
-func (p *Propagator) Advance(ws *Workspace, z, c []float64) {
-	p.AdvanceBatch(ws, z, c, 1)
-}
-
-// AdvanceBatch steps k lanes in lockstep. Lane l's augmented state is
-// z[l*(n+1):(l+1)*(n+1)] and its substep-scaled constant term is
-// c[l*n:(l+1)*n]. All lanes share the generator, so the m sparse
-// mat-vecs per substep run as one batched SpMM; every per-lane
-// arithmetic sequence (accumulation order in the SpMM, the MGS
-// orthogonalization, the basis combination) is identical to the k = 1
-// path, so batched stepping is bit-identical to sequential stepping.
+// AdvanceBatch steps k lanes in lockstep. Lane l's augmented state
+// z[l*(n+1):(l+1)*(n+1)] (with z[l*(n+1)+n] == 1) is replaced by its
+// state one full step later under x' = A·x + c, where its constant
+// term c[l*n:(l+1)*n] is scaled to one substep τ. All lanes share the
+// generator, so the m sparse mat-vecs per substep run as one batched
+// SpMM; every per-lane arithmetic sequence (accumulation order in the
+// SpMM, the MGS orthogonalization, the basis combination) is identical
+// to the k = 1 path, so batched stepping is bit-identical to
+// sequential stepping.
 //
 //mtlint:zeroalloc
 func (p *Propagator) AdvanceBatch(ws *Workspace, z, c []float64, k int) {

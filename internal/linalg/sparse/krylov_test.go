@@ -84,7 +84,7 @@ func TestPropagatorMatchesDenseExpm(t *testing.T) {
 		for i := range csub {
 			csub[i] = c[i] * p.Tau()
 		}
-		p.Advance(ws, z, csub)
+		p.AdvanceBatch(ws, z, csub, 1)
 		want := denseAugmentedStep(t, d, c, x, tc.h)
 		for i := 0; i < tc.n; i++ {
 			if math.Abs(z[i]-want[i]) > 1e-8*(1+math.Abs(want[i])) {
@@ -138,7 +138,7 @@ func TestPropagatorMultiStepAccuracy(t *testing.T) {
 	ref[n] = 1
 	next := make([]float64, n+1)
 	for step := 0; step < 200; step++ {
-		p.Advance(ws, z, csub)
+		p.AdvanceBatch(ws, z, csub, 1)
 		phi.MulVecInto(next, ref)
 		copy(ref, next)
 		ref[n] = 1
@@ -152,7 +152,7 @@ func TestPropagatorMultiStepAccuracy(t *testing.T) {
 
 // TestAdvanceBatchBitIdenticalToSequential is the lockstep contract
 // the batched thermal stepper depends on: k lanes through
-// AdvanceBatch equal k separate Advance calls bit for bit.
+// AdvanceBatch equal k separate one-lane calls bit for bit.
 func TestAdvanceBatchBitIdenticalToSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	n, h := 30, 0.02
@@ -182,7 +182,7 @@ func TestAdvanceBatchBitIdenticalToSequential(t *testing.T) {
 		ws1 := NewWorkspace(p, 1)
 		for l := 0; l < k; l++ {
 			for step := 0; step < 5; step++ {
-				p.Advance(ws1, seq[l*n1:(l+1)*n1], c[l*n:(l+1)*n])
+				p.AdvanceBatch(ws1, seq[l*n1:(l+1)*n1], c[l*n:(l+1)*n], 1)
 			}
 		}
 		wsk := NewWorkspace(p, k)
@@ -222,7 +222,7 @@ func TestPropagatorHappyBreakdown(t *testing.T) {
 	copy(z, probe)
 	z[n] = 1
 	csub := make([]float64, n)
-	p.Advance(ws, z, csub)
+	p.AdvanceBatch(ws, z, csub, 1)
 	// With c = 0 the exact answer decouples: x_i(h) = x_i(0)·e^{-2h}
 	// ... but the augmented entry keeps the basis 2-dimensional, so
 	// this exercises breakdown at j = 2.

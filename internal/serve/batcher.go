@@ -193,9 +193,8 @@ func (b *batcher) dispatch(batch []*join) {
 
 // runBatch executes one batch on a pool worker: it builds fresh
 // runners and steps them in lockstep through the shared propagator
-// panel (a one-lane batch runs Runner.Run's path inside
-// sim.BatchRunner). Every lane's bytes are bit-identical to a
-// sequential run.
+// panel (a one-lane batch is exactly Runner.Run). Every lane's bytes
+// are bit-identical to a sequential run.
 func runBatch(b *batcher, batch []*join) {
 	live := make([]*sim.Runner, 0, len(batch))
 	liveJoins := make([]*join, 0, len(batch))
@@ -236,8 +235,10 @@ func runBatch(b *batcher, batch []*join) {
 	}
 }
 
-// runSingle executes one cell sequentially and encodes its canonical
-// bytes — the reference path every batched lane must match bit for bit.
+// runSingle executes one cell alone and encodes its canonical bytes.
+// Runner.Run is a one-lane sim.BatchRunner, so this fallback steps
+// through the same engine as runBatch; every batched lane matches it
+// bit for bit.
 func runSingle(c *cell) joinResult {
 	r, err := c.newRunner()
 	if err != nil {

@@ -10,11 +10,13 @@ import (
 
 // TestTickLoopAllocations pins the steady-state tick to its allocation
 // budget by count, not by timing: after a warm-up it counts heap
-// allocations over a fixed run of ticks through the same
-// begin/pre/Step/post loop Run drives. A cell without migration must
-// not allocate at all. Migration decisions and time-shared rotations
-// allocate a little, once per decision; the budget is one allocation
-// per 10 ticks, so a single allocation on every tick fails.
+// allocations over a fixed run of ticks through the begin/pre/post
+// loop Run drives, with the thermal step armed the way Run arms it: a
+// one-lane exact batch where PreferExact says so (UseExact), RK4
+// otherwise. A cell without migration must not allocate at all.
+// Migration decisions and time-shared rotations allocate a little,
+// once per decision; the budget is one allocation per 10 ticks, so a
+// single allocation on every tick fails.
 //
 // testing.AllocsPerRun is no use here: it divides by the run count and
 // floors the mean, which reads 0 for every cell.
@@ -26,9 +28,14 @@ func TestTickLoopAllocations(t *testing.T) {
 	)
 	count := func(t *testing.T, r *Runner) uint64 {
 		t.Helper()
-		st, err := r.begin(true)
+		st, err := r.begin()
 		if err != nil {
 			t.Fatal(err)
+		}
+		if r.model.PreferExact(st.dt) {
+			if err := r.model.UseExact(st.dt); err != nil {
+				t.Fatal(err)
+			}
 		}
 		step := func() {
 			if st.done() {

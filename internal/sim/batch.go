@@ -30,9 +30,10 @@ func BatchKeyOf(cfg Config) (BatchKey, error) {
 // BatchRunner steps K independent runners in lockstep so their thermal
 // advances fuse into one shared-propagator panel update (GEMV → GEMM,
 // see thermal.BatchModel). Everything per-lane — controllers, sensors,
-// schedulers, migration, metrics — runs unchanged through the same
-// tickState code as the sequential Runner.Run, so a batched run is
-// bit-identical to K sequential runs; only the thermal step is shared.
+// schedulers, migration, metrics — runs through the same tickState
+// code, and a lane's thermal trajectory does not depend on the batch
+// width, so a batched run is bit-identical to K one-lane runs; only the
+// thermal step is shared. Runner.Run is the one-lane case.
 //
 // Lanes may be ragged: runners with shorter SimTime finish early and
 // drop out of the control loop while the rest keep stepping.
@@ -62,32 +63,34 @@ func (r *Runner) batchKey() BatchKey {
 }
 
 // Run executes all lanes to completion and returns their metrics in
-// lane order. A one-lane batch has nothing to fuse, so it takes
-// Runner.Run's path: same metrics, same errors, no panel set-up.
+// lane order.
 func (b *BatchRunner) Run() ([]*metrics.Run, error) {
 	k := len(b.runners)
-	if k == 1 {
-		m, err := b.runners[0].Run()
-		if err != nil {
-			return nil, err
+	// laneErr names the failing lane; a one-lane batch is a lone
+	// Runner.Run, whose errors read without lane context.
+	laneErr := func(l int, err error) error {
+		if k == 1 {
+			return err
 		}
-		return []*metrics.Run{m}, nil
+		return fmt.Errorf("sim: batch lane %d (%s): %w", l, b.runners[l].label, err)
 	}
 	states := make([]*tickState, k)
 	for l, r := range b.runners {
-		st, err := r.begin(false)
+		st, err := r.begin()
 		if err != nil {
-			return nil, fmt.Errorf("sim: batch lane %d (%s): %w", l, r.label, err)
+			return nil, laneErr(l, err)
 		}
 		states[l] = st
 	}
 	dt := states[0].dt
 
-	// Fuse the thermal advance only where the sequential runner would
-	// arm the exact path; otherwise each lane substeps RK4 on its own,
-	// exactly as Runner.Run would, preserving bit-identity either way.
-	// begin() has already installed the warmup state, so the adopted
-	// temperatures carry into the panels.
+	// Fuse the thermal advance where the exact step beats substepped
+	// RK4 on this machine (see thermal.PreferExact); otherwise each lane
+	// substeps RK4 on its own. The discretization is memoized per
+	// (template, dt) and deterministic, so parallel sweep workers share
+	// one build and produce identical trajectories. begin() has already
+	// installed the warmup state, so the adopted temperatures carry into
+	// the panels.
 	var batch *thermal.BatchModel
 	if b.runners[0].model.PreferExact(dt) {
 		models := make([]*thermal.Model, k)
@@ -111,7 +114,7 @@ func (b *BatchRunner) Run() ([]*metrics.Run, error) {
 			if st.done() {
 				res, err := st.finish()
 				if err != nil {
-					return nil, fmt.Errorf("sim: batch lane %d (%s): %w", l, b.runners[l].label, err)
+					return nil, laneErr(l, err)
 				}
 				results[l] = res
 				done[l] = true
@@ -119,7 +122,7 @@ func (b *BatchRunner) Run() ([]*metrics.Run, error) {
 				continue
 			}
 			if err := st.pre(); err != nil {
-				return nil, fmt.Errorf("sim: batch lane %d (%s): %w", l, b.runners[l].label, err)
+				return nil, laneErr(l, err)
 			}
 		}
 		if active == 0 {
@@ -145,23 +148,11 @@ func (b *BatchRunner) Run() ([]*metrics.Run, error) {
 	return results, nil
 }
 
-// DefaultBatchSize picks a lane count that keeps the batched working
-// set — three padded float64 panels (state in, state out, input term)
-// per lane at the packed stride of 64 — inside half of a typical
-// 32 KiB L1d, leaving the other half for the streamed propagator
-// columns. That lands at 10 lanes; clamp to [4, 16] so the answer
-// stays sane if the arithmetic drifts with future panel layouts.
-func DefaultBatchSize() int {
-	const (
-		l1d     = 32 << 10
-		perLane = 3 * 64 * 8
-	)
-	n := (l1d / 2) / perLane
-	if n < 4 {
-		n = 4
-	}
-	if n > 16 {
-		n = 16
-	}
-	return n
-}
+// DefaultBatchSize is the widest lockstep batch the sweep and the
+// server cut: 10 lanes. A dense lane's working set is four stride-wide
+// float64 panels — state in, state out, input term and the replicated
+// ambient bias, 512 bytes each at the packed stride of 64 — plus its
+// power column of n entries: about 2.4 KiB for the 55-node CMP4, so
+// ten lanes hold about 24 KiB of a typical 32 KiB L1d beside the
+// streamed propagator columns. Only a benchmark should move the value.
+func DefaultBatchSize() int { return 10 }

@@ -73,8 +73,8 @@ func requireRunsEqual(t *testing.T, lane int, got, want *metrics.Run) {
 }
 
 // requireBatchMatchesSequential runs the lanes one by one through
-// Runner.Run, then again as one BatchRunner, and requires bit-identical
-// metrics lane by lane.
+// Runner.Run (each a one-lane batch), then again as one BatchRunner,
+// and requires bit-identical metrics lane by lane.
 func requireBatchMatchesSequential(t *testing.T, lanes []batchLaneSpec) {
 	t.Helper()
 	want := make([]*metrics.Run, len(lanes))
@@ -137,18 +137,6 @@ func TestBatchRunnerRagged(t *testing.T) {
 		{mix: "workload8", spec: core.Baseline, simTime: 0.03},
 		{mix: "workload2", spec: core.PolicySpec{Mechanism: core.DVFS, Scope: core.Global}, simTime: 0.05},
 		{mix: "workload3", spec: core.PolicySpec{Mechanism: core.DVFS, Scope: core.Distributed}, simTime: 0.01},
-	})
-}
-
-// TestBatchRunnerOneLaneMatchesRun checks that a one-runner batch,
-// which takes Runner.Run's path, returns Runner.Run's metrics bit for
-// bit — for a capped DVFS lane and for a migrating stop-go lane.
-func TestBatchRunnerOneLaneMatchesRun(t *testing.T) {
-	requireBatchMatchesSequential(t, []batchLaneSpec{
-		{mix: "workload2", spec: core.PolicySpec{Mechanism: core.DVFS, Scope: core.Distributed}, caps: []units.ScaleFactor{1, 1, 0.7, 0.7}},
-	})
-	requireBatchMatchesSequential(t, []batchLaneSpec{
-		{mix: "workload8", spec: core.PolicySpec{Mechanism: core.StopGo, Scope: core.Global, Migration: core.SensorMigration}, simTime: 0.03},
 	})
 }
 

@@ -331,29 +331,22 @@ func (r *Runner) finalizeShared(activity, shared []float64) {
 	}
 }
 
-// Run executes the simulation and returns the collected metrics.
+// Run executes the simulation and returns the collected metrics. A
+// lone run is a one-lane BatchRunner: the same tick loop and the same
+// thermal step as every batched lane.
 func (r *Runner) Run() (*metrics.Run, error) {
-	st, err := r.begin(true)
+	ms, err := (&BatchRunner{runners: []*Runner{r}}).Run()
 	if err != nil {
 		return nil, err
 	}
-	for !st.done() {
-		if err := st.pre(); err != nil {
-			return nil, err
-		}
-		r.model.Step(st.dt)
-		st.post()
-	}
-	return st.finish()
+	return ms[0], nil
 }
 
-// tickState is the per-run loop state of one simulation, split out of
-// Run so the sequential driver above and the lockstep BatchRunner can
-// execute the identical per-tick code — controllers, scheduling,
-// power, metrics — with only the thermal advance differing between
-// them. One tick is pre() (everything up to and including SetPower),
-// the thermal step (owned by the driver), then post() (metrics and the
-// probe).
+// tickState is the per-run loop state of one simulation. BatchRunner
+// drives one per lane through the per-tick code — controllers,
+// scheduling, power, metrics — and owns only the thermal advance. One
+// tick is pre() (everything up to and including SetPower), the thermal
+// step (BatchRunner's), then post() (metrics and the probe).
 type tickState struct {
 	r     *Runner
 	m     *metrics.Run
@@ -378,24 +371,12 @@ type tickState struct {
 	migCtx *migration.Context
 }
 
-// begin arms the thermal fast path (unless the caller owns it, as the
-// batch driver does), installs the memoized warmup state, and returns
-// the loop state positioned at tick 0.
-func (r *Runner) begin(armExact bool) (*tickState, error) {
+// begin installs the memoized warmup state and returns the loop state
+// positioned at tick 0. BatchRunner owns the thermal step.
+func (r *Runner) begin() (*tickState, error) {
 	cfg := r.cfg
 	dt := cfg.Policy.SamplePeriod
 	nb := len(cfg.Floorplan.Blocks)
-
-	// Arm the exact ZOH fast path for the control tick where it beats
-	// substepped RK4 on this machine (see thermal.PreferExact). The
-	// discretization is memoized per (template, dt) and deterministic,
-	// so parallel sweep workers share one build and produce identical
-	// trajectories. Off-grid steps still fall back to RK4.
-	if armExact && r.model.PreferExact(dt) {
-		if err := r.model.UseExact(dt); err != nil {
-			return nil, fmt.Errorf("sim: arming exact thermal step: %w", err)
-		}
-	}
 
 	// Pre-warm the package to the memoized warmup steady state (hottest
 	// block WarmupMarginC below the PI setpoint).

@@ -1,6 +1,7 @@
 package thermal
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -30,10 +31,12 @@ func newBatchLanes(t *testing.T, k int) []*Model {
 }
 
 // TestBatchMatchesSequentialExact is the core bit-identity guard: a
-// lockstep batch must reproduce K independent exact-stepping models to
-// the last bit, through a schedule that mixes constant-power ticks,
-// per-lane power changes (exercising the dirty-lane input recompute),
-// and ticks where every lane changes at once (the fused Ψ panel pass).
+// lane's trajectory must not depend on the batch width. A K-lane batch
+// must reproduce K models stepped alone — each in the one-lane batch
+// UseExact builds — to the last bit, for widths that hit every kernel
+// route (single lanes, whole quads, quads plus a remainder), through a
+// schedule that mixes constant-power ticks, one lane changing power
+// and every lane changing at once.
 func TestBatchMatchesSequentialExact(t *testing.T) {
 	for _, k := range []int{1, 2, 3, 5, 8} {
 		ref := newBatchLanes(t, k)
@@ -52,14 +55,14 @@ func TestBatchMatchesSequentialExact(t *testing.T) {
 		p := make([]float64, ref[0].NumBlocks())
 		for tick := 0; tick < 400; tick++ {
 			switch tick % 4 {
-			case 1: // one lane changes power: mixed dirty pattern
+			case 1: // one lane changes power
 				l := rng.Intn(k)
 				for i := range p {
 					p[i] = 2 * rng.Float64()
 				}
 				ref[l].SetPower(p)
 				bat[l].SetPower(p)
-			case 3: // every lane changes: the fused all-dirty pass
+			case 3: // every lane changes
 				for l := 0; l < k; l++ {
 					for i := range p {
 						p[i] = 2 * rng.Float64()
@@ -85,8 +88,7 @@ func TestBatchMatchesSequentialExact(t *testing.T) {
 }
 
 // TestBatchStepZeroAllocs asserts the batched tick is allocation-free
-// in steady state, for both the constant-power and the all-lanes-dirty
-// calling patterns.
+// in steady state, with and without new power between ticks.
 func TestBatchStepZeroAllocs(t *testing.T) {
 	models := newBatchLanes(t, 8)
 	batch, err := NewBatch(models, batchTestDt)
@@ -106,22 +108,32 @@ func TestBatchStepZeroAllocs(t *testing.T) {
 		}
 		batch.Step()
 	}); allocs != 0 {
-		t.Fatalf("dirty batched tick allocates %.0f objects, want 0", allocs)
+		t.Fatalf("batched tick after SetPower allocates %.0f objects, want 0", allocs)
 	}
 }
 
 // TestBatchAdoptedModelViewsAliasPanels checks that adopted models keep
-// behaving as plain Models: SetPower marks only that lane dirty,
-// BlockTemps/MaxBlockTemp read the live panel, and the views survive
-// buffer swaps.
+// behaving as plain Models across the panel swaps: after every tick
+// each model's temps is its own lane of the live state panel and its
+// power its own lane of the power panel, so SetPower lands where the Ψ
+// pass reads and Temp/MaxBlockTemp read the state just written.
 func TestBatchAdoptedModelViewsAliasPanels(t *testing.T) {
 	models := newBatchLanes(t, 3)
 	batch, err := NewBatch(models, batchTestDt)
 	if err != nil {
 		t.Fatal(err)
 	}
+	n := models[0].NumNodes()
 	for tick := 0; tick < 5; tick++ {
 		batch.Step()
+		for l, m := range models {
+			if &m.temps[0] != &batch.x[l*batch.stride] || len(m.temps) != n {
+				t.Fatalf("tick %d lane %d: temps is not lane %d of the live state panel", tick, l, l)
+			}
+			if &m.power[0] != &batch.pw[l*n] || len(m.power) != n {
+				t.Fatalf("tick %d lane %d: power is not lane %d of the power panel", tick, l, l)
+			}
+		}
 	}
 	for l, m := range models {
 		hot, idx := m.MaxBlockTemp()
@@ -158,5 +170,57 @@ func TestBatchRejectsMixedTemplates(t *testing.T) {
 	}
 	if _, err := NewBatch(nil, batchTestDt); err == nil {
 		t.Fatal("batch accepted zero lanes")
+	}
+}
+
+// TestAdoptionCarriesStateOver checks that adoption moves a model's
+// live state onto its lanes: the temperatures and power a model holds
+// when UseExact or NewBatch adopts it must drive its exact ticks. Each
+// adopted model starts from a warm, non-uniform state under power that
+// differs from its warmup power, steps with no further SetPower, and
+// must track an RK4 twin that was never adopted to well under a
+// microkelvin; a lane that started cold or unpowered would be off by
+// degrees or millikelvins.
+func TestAdoptionCarriesStateOver(t *testing.T) {
+	for _, k := range []int{1, 3} {
+		models := newBatchLanes(t, k)
+		twins := newBatchLanes(t, k)
+		for l := range models {
+			warm := make([]float64, models[l].NumBlocks())
+			for i := range warm {
+				warm[i] = 3 + 0.2*float64(i%7) + float64(l)
+			}
+			if err := models[l].InitSteadyState(warm); err != nil {
+				t.Fatal(err)
+			}
+			twins[l].SetNodeTemps(models[l].NodeTemps())
+		}
+		var step func()
+		if k == 1 {
+			if err := models[0].UseExact(batchTestDt); err != nil {
+				t.Fatal(err)
+			}
+			step = func() { models[0].Step(batchTestDt) }
+		} else {
+			batch, err := NewBatch(models, batchTestDt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			step = batch.Step
+		}
+		for tick := 0; tick < 50; tick++ {
+			step()
+			for _, m := range twins {
+				m.Step(batchTestDt)
+			}
+		}
+		for l := range models {
+			for i := 0; i < models[l].NumNodes(); i++ {
+				if d := math.Abs(models[l].temps[i] - twins[l].temps[i]); d > 1e-6 {
+					t.Fatalf("k=%d lane %d node %d: adopted %.9f, RK4 twin %.9f",
+						k, l, i, models[l].temps[i], twins[l].temps[i])
+				}
+			}
+		}
 	}
 }

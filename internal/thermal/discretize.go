@@ -61,7 +61,7 @@ type Discretization struct {
 	// fixed-schedule Krylov propagator for e^{A·dt} acting on the
 	// augmented state [T; 1], and every dense field above is nil — Φ/Ψ
 	// are never materialized. The two modes expose one stepping
-	// contract; Model.stepExact dispatches on Sparse().
+	// contract; BatchModel.Step dispatches on Sparse().
 	prop *sparse.Propagator
 }
 
@@ -127,11 +127,11 @@ func (t *Template) buildDiscretization(dt float64) (*Discretization, error) {
 // the same exact ZOH update: instead of materializing Φ/Ψ it
 // calibrates a fixed (m, nsub) Arnoldi schedule for e^{M·dt} on the
 // augmented affine system, where the constant term c = B·u is rebuilt
-// per model whenever its power changes. The calibration probe is a
-// deterministic warm-gradient state under a representative per-block
-// power, so equal (Template, dt) pairs always freeze the identical
-// schedule — the property that keeps sparse steps bit-reproducible
-// and batch lanes in lockstep.
+// per lane on every tick. The calibration probe is a deterministic
+// warm-gradient state under a representative per-block power, so
+// equal (Template, dt) pairs always freeze the identical schedule —
+// the property that keeps sparse steps bit-reproducible and batch
+// lanes in lockstep.
 func (t *Template) buildSparseDiscretization(dt float64) (*Discretization, error) {
 	if dt <= 0 {
 		return nil, fmt.Errorf("thermal: non-positive discretization step %g", dt)
@@ -210,96 +210,18 @@ func (t *Template) PreferExact(dt units.Seconds) bool {
 }
 
 // UseExact switches the model's Step(dt) onto the exact discretized
-// update for exactly this dt; Step at any other size still runs RK4 on
-// the same state, so off-grid steps (warmup, odd remainders) fall back
-// transparently. The discretization comes from the template's memoized
-// cache and may be dense or sparse per the template size. Calling
-// UseExact again re-targets the fast path to the new dt.
+// update for exactly this dt by adopting the model into a one-lane
+// lockstep batch (see BatchModel); Step at any other size still runs
+// RK4 on the same state, so off-grid steps (warmup, odd remainders)
+// fall back transparently. The discretization comes from the
+// template's memoized cache and may be dense or sparse per the template
+// size. Current temperatures carry over, and calling UseExact again
+// re-targets the fast path to the new dt.
 func (m *Model) UseExact(dt units.Seconds) error {
 	d, err := m.Template.Discretization(dt)
 	if err != nil {
 		return err
 	}
-	m.armDisc(d)
+	m.exact = newBatch([]*Model{m}, d)
 	return nil
-}
-
-// armDisc points the model's exact path at d, moving the live state
-// into whichever buffer that representation steps. The alias check
-// (&temps[0] against the target buffer) handles every re-arm
-// combination — dense→sparse, sparse→dense, repeated arms — without
-// copying when the state is already in place.
-func (m *Model) armDisc(d *Discretization) {
-	if d.prop != nil {
-		if len(m.zaug) != m.n+1 {
-			m.zaug = make([]float64, m.n+1)
-			m.cvec = make([]float64, m.n)
-		}
-		if &m.temps[0] != &m.zaug[0] {
-			copy(m.zaug[:m.n], m.temps)
-			m.temps = m.zaug[:m.n]
-		}
-		m.zaug[m.n] = 1
-		if m.kws == nil || m.kwsProp != d.prop {
-			m.kws = sparse.NewWorkspace(d.prop, 1)
-			m.kwsProp = d.prop
-		}
-	} else {
-		stride := d.phiPacked.Stride()
-		if len(m.xbuf) != stride {
-			// Double-buffered state: temps aliases the live buffer, the
-			// kernel writes the other, and the two swap each tick — no
-			// per-tick copy.
-			m.xbuf = make([]float64, stride)
-			m.ybuf = make([]float64, stride)
-			m.uCache = make([]float64, stride)
-		}
-		if &m.temps[0] != &m.xbuf[0] {
-			copy(m.xbuf[:m.n], m.temps)
-			m.temps = m.xbuf[:m.n]
-		}
-	}
-	m.disc = d
-	m.powerDirty = true
-}
-
-// stepExact advances one exact tick, dispatching on the
-// discretization's representation. Dense: T ← Φ·T + (Ψ·P + ψ_amb)
-// through the packed kernels, with the input term memoized in uCache
-// and recomputed only when SetPower has run since the last tick, so
-// constant-power stretches pay only the Φ pass. Zero allocations;
-// buffer padding rows stay zero because the packed operands' padding
-// rows are zero.
-//
-//mtlint:zeroalloc
-func (m *Model) stepExact(d *Discretization) {
-	if d.prop != nil {
-		m.stepSparse(d)
-		return
-	}
-	if m.powerDirty {
-		d.psiPacked.MulAddInto(m.uCache, d.psiAmbPad, m.power[:m.nBlocks])
-		m.powerDirty = false
-	}
-	d.phiPacked.MulAddInto(m.ybuf, m.uCache, m.temps)
-	m.xbuf, m.ybuf = m.ybuf, m.xbuf
-	m.temps = m.xbuf[:m.n]
-}
-
-// stepSparse advances one exact tick through the Krylov propagator on
-// the augmented state z = [T; 1]. The substep-scaled constant term
-// c = τ·B·u plays uCache's role: rebuilt only when SetPower has run
-// since the last tick. temps aliases zaug[:n] throughout, so the
-// in-place advance leaves the public view current with no swap.
-//
-//mtlint:zeroalloc
-func (m *Model) stepSparse(d *Discretization) {
-	if m.powerDirty {
-		tau := d.prop.Tau()
-		for i := 0; i < m.n; i++ {
-			m.cvec[i] = (m.power[i] + m.ambFlow[i]) * m.invCap[i] * tau
-		}
-		m.powerDirty = false
-	}
-	d.prop.Advance(m.kws, m.zaug, m.cvec)
 }

@@ -242,8 +242,9 @@ func TestDiscretizationRejectsBadStep(t *testing.T) {
 	}
 }
 
-// TestExactStepZeroAllocs pins the fast path at zero allocations per
-// tick, including ticks that invalidate the memoized input term.
+// TestExactStepZeroAllocs pins a lone model's exact step — one tick of
+// its one-lane batch — at zero allocations, with and without new power
+// between ticks.
 func TestExactStepZeroAllocs(t *testing.T) {
 	m := newExactModel(t, paperTick)
 	watts := make(units.PowerVec, m.NumBlocks())
@@ -252,9 +253,9 @@ func TestExactStepZeroAllocs(t *testing.T) {
 	}
 	m.SetPower(watts)
 	allocs := testing.AllocsPerRun(200, func() {
-		m.SetPower(watts) // dirties uCache: both kernel passes run
+		m.SetPower(watts)
 		m.Step(paperTick)
-		m.Step(paperTick) // clean path
+		m.Step(paperTick)
 	})
 	if allocs != 0 {
 		t.Fatalf("exact step allocated %.1f times per tick pair", allocs)

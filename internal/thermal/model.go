@@ -185,42 +185,16 @@ type Template struct {
 type Model struct {
 	*Template
 
-	// Hot template fields mirrored into the model (slice headers only —
-	// the backing arrays stay shared and immutable). The RK4 kernel runs
-	// millions of iterations per simulated second; reaching these through
-	// the embedded pointer would re-load the indirection in every loop
-	// the compiler cannot prove alias-free, so the stamp copies the
-	// headers and the kernel indexes them one dereference away, exactly
-	// as when they lived on the model itself.
-	n       int
-	nbrIdx  [][]int32   // per-row views into colIdx
-	nbrG    [][]float64 // per-row views into colG
-	gTotal  []float64
-	invCap  []float64
-	ambFlow []float64
-
 	temps []float64 // current state, °C
 	power []float64 // current die-block power, W (len nBlocks)
 
 	// scratch buffers for the fused RK4 kernel
 	acc, tmpA, tmpB []float64
 
-	// Exact-discretization fast path (nil disc = RK4 only). When armed
-	// via UseExact, temps aliases xbuf[:n] and each exact tick writes
-	// ybuf and swaps the two; uCache memoizes Ψ·P + ψ_amb until
-	// SetPower invalidates it.
-	disc       *Discretization
-	xbuf, ybuf []float64
-	uCache     []float64
-	powerDirty bool
-
-	// Sparse exact path (armed when disc.Sparse()): temps aliases
-	// zaug[:n] with the augmented entry zaug[n] pinned to 1; cvec
-	// memoizes the substep-scaled constant term the way uCache
-	// memoizes Ψ·P; kws is the Arnoldi workspace sized for kwsProp.
-	zaug, cvec []float64
-	kws        *sparse.Workspace
-	kwsProp    *sparse.Propagator
+	// exact is the one-lane lockstep batch UseExact adopts the model
+	// into (nil = RK4 only): while armed, temps and power alias its
+	// panels and Step at its dt advances through it.
+	exact *BatchModel
 }
 
 // Node index helpers (offsets after the die blocks).
@@ -339,12 +313,6 @@ func TemplateFor(fp *floorplan.Floorplan, p Params) (*Template, error) {
 func (t *Template) NewModel() *Model {
 	m := &Model{
 		Template: t,
-		n:        t.n,
-		nbrIdx:   t.nbrIdx,
-		nbrG:     t.nbrG,
-		gTotal:   t.gTotal,
-		invCap:   t.invCap,
-		ambFlow:  t.ambFlow,
 		temps:    make([]float64, t.n),
 		// power spans all nodes (package entries stay zero) so the RK4
 		// stages add it unconditionally in one branch-free loop.
@@ -539,7 +507,6 @@ func (m *Model) SetPower(watts units.PowerVec) {
 		panic(fmt.Sprintf("thermal: power vector length %d, want %d", len(watts), m.nBlocks))
 	}
 	copy(m.power[:m.nBlocks], watts)
-	m.powerDirty = true
 }
 
 // Power returns the current power vector (shared storage; do not mutate).

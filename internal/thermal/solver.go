@@ -47,11 +47,12 @@ func (t *Template) computeMaxStableStep() float64 {
 func (t *Template) MaxStableStep() units.Seconds { return units.Seconds(t.hMax) }
 
 // Step advances the transient solution by dt seconds. If UseExact has
-// armed the exact ZOH discretization for this dt, the step is a single
-// application of T ← Φ·T + Ψ·u with no truncation error; any other dt
-// falls back to classical RK4, internally substepping if dt exceeds the
-// stability bound. Power inputs are held constant across the step (the
-// simulator changes them only at trace-sample boundaries, every 28 µs).
+// armed the exact ZOH discretization for this dt, the step is one tick
+// of the model's one-lane batch, T ← Φ·T + Ψ·u with no truncation
+// error; any other dt falls back to classical RK4, internally
+// substepping if dt exceeds the stability bound. Power inputs are held
+// constant across the step (the simulator changes them only at
+// trace-sample boundaries, every 28 µs).
 //
 //mtlint:zeroalloc
 func (m *Model) Step(dt units.Seconds) {
@@ -59,8 +60,8 @@ func (m *Model) Step(dt units.Seconds) {
 	if h <= 0 {
 		badStepSize(h)
 	}
-	if d := m.disc; d != nil && d.dt == h { //mtlint:allow floatcmp the exact path is armed for bit-exactly this dt (both sides the same raw seconds value)
-		m.stepExact(d)
+	if b := m.exact; b != nil && b.d.dt == h { //mtlint:allow floatcmp the exact path is armed for bit-exactly this dt (both sides the same raw seconds value)
+		b.Step()
 		return
 	}
 	steps := 1

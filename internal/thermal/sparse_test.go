@@ -44,7 +44,8 @@ func testPower(n int, phase int) units.PowerVec {
 // crossover, so its memoized discretization is dense — but the sparse
 // builder works on any template, and both represent the same exact ZOH
 // update. Two models stepped side by side through 300 ticks of
-// time-varying power must agree to the Krylov tolerance, not merely to
+// time-varying power, each in a one-lane batch built on its own
+// discretization, must agree to the Krylov tolerance, not merely to
 // integrator truncation error.
 func TestSparseMatchesDenseOnCMP4(t *testing.T) {
 	tmpl, err := TemplateFor(floorplan.CMP4(), DefaultParams())
@@ -64,8 +65,8 @@ func TestSparseMatchesDenseOnCMP4(t *testing.T) {
 	}
 	mD := tmpl.NewModel()
 	mS := tmpl.NewModel()
-	mD.armDisc(dDense)
-	mS.armDisc(dSparse)
+	bD := newBatch([]*Model{mD}, dDense)
+	bS := newBatch([]*Model{mS}, dSparse)
 	nb := tmpl.NumBlocks()
 	for tick := 0; tick < 300; tick++ {
 		if tick%10 == 0 {
@@ -73,8 +74,8 @@ func TestSparseMatchesDenseOnCMP4(t *testing.T) {
 			mD.SetPower(pw)
 			mS.SetPower(pw)
 		}
-		mD.Step(testDt)
-		mS.Step(testDt)
+		bD.Step()
+		bS.Step()
 		for i := 0; i < tmpl.NumNodes(); i++ {
 			diff := math.Abs(mD.temps[i] - mS.temps[i])
 			if diff > 1e-6 {
