@@ -181,9 +181,6 @@ type Table1Result struct {
 	Ranging []Table1Range
 }
 
-// ID implements Result.
-func (t *Table1Result) ID() string { return "table1" }
-
 // RunTable1 measures the Banias model the way the paper measures the
 // notebook: launch the benchmark, wait for thermal settling, and poll
 // the ACPI diode (1 °C resolution). Stable benchmarks report their

@@ -36,7 +36,6 @@ var paperRefs = map[core.PolicySpec]struct{ duty, rel, table8 float64 }{
 // workload suite, all normalized against the distributed stop-go
 // baseline.
 type PolicyStudy struct {
-	id       string
 	Specs    []core.PolicySpec
 	Runs     map[core.PolicySpec][]*metrics.Run
 	Summary  map[core.PolicySpec]metrics.Summary
@@ -49,7 +48,7 @@ type PolicyStudy struct {
 // = 144 independent cells sharing one thermal template) — and every
 // result lands in its (spec, workload) slot, so the assembled study is
 // identical at any parallelism and batch width.
-func runStudy(o Options, id string, specs []core.PolicySpec) (*PolicyStudy, error) {
+func runStudy(o Options, specs []core.PolicySpec) (*PolicyStudy, error) {
 	all := specs
 	if !slices.Contains(specs, core.Baseline) {
 		all = append([]core.PolicySpec{core.Baseline}, specs...)
@@ -59,7 +58,6 @@ func runStudy(o Options, id string, specs []core.PolicySpec) (*PolicyStudy, erro
 		return nil, err
 	}
 	s := &PolicyStudy{
-		id:      id,
 		Specs:   specs,
 		Runs:    map[core.PolicySpec][]*metrics.Run{},
 		Summary: map[core.PolicySpec]metrics.Summary{},
@@ -71,9 +69,6 @@ func runStudy(o Options, id string, specs []core.PolicySpec) (*PolicyStudy, erro
 	s.Baseline = s.Summary[core.Baseline]
 	return s, nil
 }
-
-// ID implements Result.
-func (s *PolicyStudy) ID() string { return s.id }
 
 // Relative returns the policy's mean throughput over the baseline's.
 //
@@ -154,7 +149,7 @@ type Fig3Result struct {
 
 // RunFig3 reproduces Figure 3.
 func RunFig3(o Options) (*Fig3Result, error) {
-	study, err := runStudy(o, "fig3", nonMigrationSpecs())
+	study, err := runStudy(o, nonMigrationSpecs())
 	if err != nil {
 		return nil, err
 	}
@@ -200,7 +195,7 @@ type Table5Result struct{ *PolicyStudy }
 
 // RunTable5 reproduces Table 5.
 func RunTable5(o Options) (*Table5Result, error) {
-	study, err := runStudy(o, "table5", nonMigrationSpecs())
+	study, err := runStudy(o, nonMigrationSpecs())
 	if err != nil {
 		return nil, err
 	}
@@ -225,9 +220,9 @@ type MigrationTableResult struct {
 	SpeedupOverBase map[core.PolicySpec]float64
 }
 
-func runMigrationTable(o Options, id string, kind core.MigrationKind) (*MigrationTableResult, error) {
+func runMigrationTable(o Options, kind core.MigrationKind) (*MigrationTableResult, error) {
 	specs := append(nonMigrationSpecs(), withMigration(kind)...)
-	study, err := runStudy(o, id, specs)
+	study, err := runStudy(o, specs)
 	if err != nil {
 		return nil, err
 	}
@@ -247,12 +242,12 @@ func runMigrationTable(o Options, id string, kind core.MigrationKind) (*Migratio
 
 // RunTable6 reproduces Table 6 (counter-based migration).
 func RunTable6(o Options) (*MigrationTableResult, error) {
-	return runMigrationTable(o, "table6", core.CounterMigration)
+	return runMigrationTable(o, core.CounterMigration)
 }
 
 // RunTable7 reproduces Table 7 (sensor-based migration).
 func RunTable7(o Options) (*MigrationTableResult, error) {
-	return runMigrationTable(o, "table7", core.SensorMigration)
+	return runMigrationTable(o, core.SensorMigration)
 }
 
 // Render implements Result.
@@ -269,14 +264,10 @@ func (t *MigrationTableResult) Render() string {
 // Fig7Result is the per-workload gain/loss of the two migration
 // mechanisms layered on distributed DVFS (paper Figure 7).
 type Fig7Result struct {
-	id        string
 	Workloads []string
 	Counter   []float64 // percentage delta vs non-migration dist. DVFS
 	Sensor    []float64
 }
-
-// ID implements Result.
-func (f *Fig7Result) ID() string { return f.id }
 
 // RunFig7 reproduces Figure 7.
 func RunFig7(o Options) (*Fig7Result, error) {
@@ -298,7 +289,7 @@ func RunFig7(o Options) (*Fig7Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &Fig7Result{id: "fig7"}
+	out := &Fig7Result{}
 	for i, m := range o.workloads() {
 		out.Workloads = append(out.Workloads, m.Label())
 		out.Counter = append(out.Counter, (relC[i]-1)*100)
@@ -326,7 +317,7 @@ type Table8Result struct{ *PolicyStudy }
 
 // RunTable8 reproduces Table 8.
 func RunTable8(o Options) (*Table8Result, error) {
-	study, err := runStudy(o, "table8", core.Taxonomy())
+	study, err := runStudy(o, core.Taxonomy())
 	if err != nil {
 		return nil, err
 	}
@@ -353,20 +344,16 @@ func (t *Table8Result) Render() string {
 // 100 °C raises all duty cycles by roughly 10–15 points while
 // preserving the relative ordering of policies.
 type SensitivityResult struct {
-	id        string
 	Specs     []core.PolicySpec
 	DutyAt84  map[core.PolicySpec]units.ScaleFactor
 	DutyAt100 map[core.PolicySpec]units.ScaleFactor
 }
 
-// ID implements Result.
-func (s *SensitivityResult) ID() string { return s.id }
-
 // RunSensitivity reproduces the paper's 100 °C observation.
 func RunSensitivity(o Options) (*SensitivityResult, error) {
 	specs := nonMigrationSpecs()
 	out := &SensitivityResult{
-		id: "sensitivity", Specs: specs,
+		Specs:     specs,
 		DutyAt84:  map[core.PolicySpec]units.ScaleFactor{},
 		DutyAt100: map[core.PolicySpec]units.ScaleFactor{},
 	}
@@ -417,14 +404,10 @@ func (s *SensitivityResult) OrderingPreserved() bool {
 // relative to an unconstrained run is predicted by the measured duty
 // cycle.
 type DutyValidityResult struct {
-	id        string
 	Workloads []string
 	Predicted []units.ScaleFactor // duty cycle of the constrained run
 	Achieved  []units.ScaleFactor // throughput ratio constrained / unconstrained
 }
-
-// ID implements Result.
-func (d *DutyValidityResult) ID() string { return d.id }
 
 // RunDutyValidity reproduces the §5.3 check using distributed DVFS.
 func RunDutyValidity(o Options) (*DutyValidityResult, error) {
@@ -433,7 +416,7 @@ func RunDutyValidity(o Options) (*DutyValidityResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &DutyValidityResult{id: "dutyvalid"}
+	out := &DutyValidityResult{}
 	for i, mix := range o.workloads() {
 		constrained, free := runs[0][0][i], runs[0][1][i]
 		out.Workloads = append(out.Workloads, mix.Name)

@@ -59,8 +59,9 @@ var determinismCases = []struct {
 // oneLaneWorkers is a worker count above every determinism case's
 // cell count. runCells cuts a group into batches of at most
 // ceil(group/workers) lanes, so at this count every batch holds one
-// lane and every cell steps alone. RunTasks starts at most one worker
-// per batch, so the large count starts no more goroutines than cells.
+// lane and every cell steps alone. ForEach starts at most one pool
+// worker per batch, so the large count starts no more goroutines than
+// cells.
 const oneLaneWorkers = 256
 
 // TestBatchingDoesNotChangeResults is the determinism guard for the

@@ -32,8 +32,9 @@ type Options struct {
 	SimTime units.Seconds
 	// Workloads restricts the workload set (nil = all 12).
 	Workloads []workload.Mix
-	// Parallelism bounds the worker pool that fans independent grid
-	// cells out across CPUs: 0 uses GOMAXPROCS, 1 runs sequentially.
+	// Parallelism bounds the worker pool (parallel.ForEach) that fans
+	// independent grid cells out across CPUs: 0 uses GOMAXPROCS, 1 runs
+	// every batch on one worker in cut order.
 	// Results are deterministic — identical at any parallelism level —
 	// because every cell is independent and results are slotted by
 	// index, not arrival order.
@@ -166,14 +167,13 @@ func (c cell) newRunner() (*sim.Runner, error) {
 // runCells executes the given cells and slots each result at its input
 // index. Cells are grouped by sim.BatchKey in first-seen order and each
 // group is cut into lockstep batches of consecutive cells up front
-// (cutBatches, at most sim.DefaultBatchSize lanes wide), one batch per
-// task. Cells sharing a key — same thermal template and control period
-// — step through one fused panel update (sim.BatchRunner). Tasks are
-// weighted by the simulated time they cover, so the biggest batches
-// start first and a straggler cannot hold the sweep open alone. Batch
-// composition depends only on the cells and the worker count, never on
-// timing; results are independent of both, because batched stepping is
-// bit-identical to sequential stepping (sim.BatchRunner's contract).
+// (cutBatches, at most sim.DefaultBatchSize lanes wide), one
+// parallel.ForEach index per batch, taken in cut order. Cells sharing a
+// key — same thermal template and control period — step through one
+// fused panel update (sim.BatchRunner). Batch composition depends only
+// on the cells and the worker count, never on timing; results are
+// independent of both, because batched stepping is bit-identical to
+// sequential stepping (sim.BatchRunner's contract).
 func runCells(o Options, cells []cell) ([]*metrics.Run, error) {
 	groupOf := map[sim.BatchKey]int{}
 	var groups [][]int
@@ -191,13 +191,9 @@ func runCells(o Options, cells []cell) ([]*metrics.Run, error) {
 		groups[g] = append(groups[g], i)
 	}
 	batches := cutBatches(groups, sim.DefaultBatchSize(), parallel.Workers(o.Parallelism))
-	tasks := make([]parallel.Task, len(batches))
-	for i, idx := range batches {
-		tasks[i] = parallel.Task{Index: i, Cost: float64(len(idx)) * float64(cells[idx[0]].cfg.SimTime)}
-	}
 
 	runs := make([]*metrics.Run, len(cells))
-	err := parallel.RunTasks(context.Background(), o.Parallelism, tasks,
+	err := parallel.ForEach(context.Background(), o.Parallelism, len(batches),
 		func(_ context.Context, bi int) error {
 			idx := batches[bi]
 			runners := make([]*sim.Runner, len(idx))
@@ -248,8 +244,6 @@ func cutBatches(groups [][]int, width, workers int) [][]int {
 
 // Result is the common interface of all experiment outputs.
 type Result interface {
-	// ID returns the paper artifact identifier, e.g. "table5".
-	ID() string
 	// Render returns the human-readable reproduction report.
 	Render() string
 }

@@ -56,9 +56,6 @@ type HeteroResult struct {
 	Het   map[core.PolicySpec]metrics.Summary
 }
 
-// ID implements Result.
-func (h *HeteroResult) ID() string { return "hetero" }
-
 // RunHetero evaluates the §9 heterogeneous-cores extension.
 func RunHetero(o Options) (*HeteroResult, error) {
 	specs := []core.PolicySpec{
@@ -111,7 +108,6 @@ func (h *HeteroResult) Render() string {
 
 // SweepResult is a generic one-knob ablation over a policy.
 type SweepResult struct {
-	id     string
 	Knob   string
 	Policy core.PolicySpec
 	Labels []string
@@ -119,9 +115,6 @@ type SweepResult struct {
 	Duty   []units.ScaleFactor
 	Worst  []units.Celsius
 }
-
-// ID implements Result.
-func (s *SweepResult) ID() string { return s.id }
 
 // Render implements Result.
 func (s *SweepResult) Render() string {
@@ -136,7 +129,7 @@ func (s *SweepResult) Render() string {
 	return t.String()
 }
 
-func runSweep(o Options, id, knob string, spec core.PolicySpec,
+func runSweep(o Options, knob string, spec core.PolicySpec,
 	labels []string, mutate func(idx int, cfg *sim.Config)) (*SweepResult, error) {
 	variants := make([]sim.Config, len(labels))
 	for i := range variants {
@@ -147,7 +140,7 @@ func runSweep(o Options, id, knob string, spec core.PolicySpec,
 	if err != nil {
 		return nil, err
 	}
-	out := &SweepResult{id: id, Knob: knob, Policy: spec, Labels: labels}
+	out := &SweepResult{Knob: knob, Policy: spec, Labels: labels}
 	for v := range variants {
 		sum := metrics.Summarize(spec.String(), runs[v][0])
 		out.BIPS = append(out.BIPS, sum.MeanBIPS)
@@ -163,7 +156,7 @@ func runSweep(o Options, id, knob string, spec core.PolicySpec,
 // intervals.
 func RunStallAblation(o Options) (*SweepResult, error) {
 	stalls := []units.Seconds{10e-3, 30e-3, 60e-3}
-	return runSweep(o, "ablation-stall", "stall interval", core.Baseline,
+	return runSweep(o, "stall interval", core.Baseline,
 		[]string{"10 ms", "30 ms (paper)", "60 ms"},
 		func(i int, cfg *sim.Config) { cfg.Policy.StallSeconds = stalls[i] })
 }
@@ -173,7 +166,7 @@ func RunStallAblation(o Options) (*SweepResult, error) {
 func RunSetpointAblation(o Options) (*SweepResult, error) {
 	margins := []units.Celsius{1.0, 2.4, 5.0}
 	spec := core.PolicySpec{Mechanism: core.DVFS, Scope: core.Distributed}
-	return runSweep(o, "ablation-setpoint", "setpoint margin", spec,
+	return runSweep(o, "setpoint margin", spec,
 		[]string{"1.0 °C", "2.4 °C (paper)", "5.0 °C"},
 		func(i int, cfg *sim.Config) { cfg.Policy.SetpointMarginC = margins[i] })
 }
@@ -183,7 +176,7 @@ func RunSetpointAblation(o Options) (*SweepResult, error) {
 func RunEpochAblation(o Options) (*SweepResult, error) {
 	epochs := []units.Seconds{2e-3, 10e-3, 50e-3}
 	spec := core.PolicySpec{Mechanism: core.StopGo, Scope: core.Distributed, Migration: core.CounterMigration}
-	return runSweep(o, "ablation-epoch", "migration epoch", spec,
+	return runSweep(o, "migration epoch", spec,
 		[]string{"2 ms", "10 ms (paper)", "50 ms"},
 		func(i int, cfg *sim.Config) { cfg.MigrationEpoch = epochs[i] })
 }
@@ -194,9 +187,6 @@ type PIDAblationResult struct {
 	Kds      []float64
 	PI, PIDs []control.ThermalControlQuality
 }
-
-// ID implements Result.
-func (p *PIDAblationResult) ID() string { return "ablation-pid" }
 
 // RunPIDAblation compares PI against PIDs of increasing derivative gain
 // on the canonical hotspot testbench.
@@ -245,9 +235,6 @@ type MultiprocResult struct {
 	FairnessMin []float64 // smallest process share of the largest
 	Worst       []units.Celsius
 }
-
-// ID implements Result.
-func (m *MultiprocResult) ID() string { return "multiproc" }
 
 // RunMultiproc evaluates DTM policies under time-shared
 // multiprogramming.

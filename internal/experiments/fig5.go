@@ -34,9 +34,6 @@ type Fig5Result struct {
 	Points   []Fig5Point
 }
 
-// ID implements Result.
-func (f *Fig5Result) ID() string { return "fig5" }
-
 // RunFig5 extracts the Figure 5 time series.
 func RunFig5(o Options) (*Fig5Result, error) {
 	cfg := o.simConfig()

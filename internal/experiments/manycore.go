@@ -34,9 +34,6 @@ type ManycoreResult struct {
 	Worst       []units.Celsius
 }
 
-// ID implements Result.
-func (m *ManycoreResult) ID() string { return "manycore" }
-
 // manycoreSpec resolves the grid under study: the -floorplan flag's
 // spec when set, else the 4x4 mixed-rows default that sits just past
 // the sparse crossover.

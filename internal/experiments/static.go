@@ -14,12 +14,8 @@ import (
 // StaticResult wraps artifacts that are structural rather than
 // simulated.
 type StaticResult struct {
-	id   string
 	text string
 }
-
-// ID implements Result.
-func (s *StaticResult) ID() string { return s.id }
 
 // Render implements Result.
 func (s *StaticResult) Render() string { return s.text }
@@ -41,7 +37,7 @@ func Table2() *StaticResult {
 			strings.Join(cells[scope][core.CounterMigration], " / "),
 			strings.Join(cells[scope][core.SensorMigration], " / "))
 	}
-	return &StaticResult{id: "table2", text: t.String()}
+	return &StaticResult{text: t.String()}
 }
 
 // Table3 reproduces the modeled CPU design parameters (paper Table 3).
@@ -63,7 +59,7 @@ func Table3() *StaticResult {
 	t.add("Minimum freq scale", fmt.Sprintf("%.0f%% (%.0f MHz)", p.Limits.Min*100, float64(p.Limits.Min)*c.ClockHz/1e6))
 	t.add("Minimum transition", fmt.Sprintf("%.0f%% of range", p.Limits.MinTransition/(p.Limits.Max-p.Limits.Min)*100))
 	t.add("Migration penalty", "100 µs")
-	return &StaticResult{id: "table3", text: t.String()}
+	return &StaticResult{text: t.String()}
 }
 
 // Table4 reproduces the workload mixes (paper Table 4).
@@ -74,7 +70,7 @@ func Table4() *StaticResult {
 		open := strings.LastIndex(label, "(")
 		t.add(m.Name, strings.Join(m.Benchmarks[:], ", "), strings.Trim(label[open:], "()"))
 	}
-	return &StaticResult{id: "table4", text: t.String()}
+	return &StaticResult{text: t.String()}
 }
 
 // PIAnalysis reproduces the formal-control content of §4: the published
@@ -90,9 +86,6 @@ type PIAnalysis struct {
 	//mtlint:allow unit settling time reported in milliseconds for readability, not units.Seconds
 	SettlingTimeMS float64
 }
-
-// ID implements Result.
-func (p *PIAnalysis) ID() string { return "pi" }
 
 // RunPIAnalysis performs the §4 control design study against a
 // representative first-order hotspot plant.

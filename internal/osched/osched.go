@@ -108,7 +108,7 @@ type Scheduler struct {
 	busyUntil    []float64 // per-core: end of migration penalty window
 	migrations   int
 
-	// Time-sharing state (NewTimeshared).
+	// Time-sharing state; idle while no process waits.
 	nCores       int
 	timeslice    float64
 	lastRotation float64
@@ -119,25 +119,11 @@ type Scheduler struct {
 }
 
 // NewScheduler creates a scheduler with process i initially on core i
-// (one process per core, as in the paper's four-program workloads).
+// (one process per core, as in the paper's four-program workloads). It
+// is a time-shared scheduler with no process waiting, so it never
+// rotates.
 func NewScheduler(benchmarks []string) *Scheduler {
-	s := &Scheduler{
-		epoch:        DefaultMigrationEpoch,
-		penalty:      DefaultMigrationPenalty,
-		lastDecision: -1e9,
-	}
-	for i, b := range benchmarks {
-		s.procs = append(s.procs, &Process{ID: i, Benchmark: b, windowHalflife: 20e-3})
-		s.onCore = append(s.onCore, i)
-		s.coreOf = append(s.coreOf, i)
-	}
-	s.nCores = len(benchmarks)
-	s.lastRotation = -1e9
-	s.waitingSince = make([]float64, len(benchmarks))
-	s.stintStart = make([]float64, len(benchmarks))
-	s.cumRun = make([]float64, len(benchmarks))
-	s.busyUntil = make([]float64, len(benchmarks))
-	return s
+	return newScheduler(benchmarks, len(benchmarks), DefaultTimeslice)
 }
 
 // SetEpoch overrides the migration epoch (for ablation studies).

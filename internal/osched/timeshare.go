@@ -26,6 +26,12 @@ func NewTimeshared(benchmarks []string, nCores int, timeslice float64) (*Schedul
 	if timeslice <= 0 {
 		timeslice = DefaultTimeslice
 	}
+	return newScheduler(benchmarks, nCores, timeslice), nil
+}
+
+// newScheduler is the constructor body NewScheduler and NewTimeshared
+// share: processes 0..nCores−1 on the cores, the rest waiting.
+func newScheduler(benchmarks []string, nCores int, timeslice float64) *Scheduler {
 	s := &Scheduler{
 		epoch:        DefaultMigrationEpoch,
 		penalty:      DefaultMigrationPenalty,
@@ -49,7 +55,7 @@ func NewTimeshared(benchmarks []string, nCores int, timeslice float64) (*Schedul
 	s.stintStart = make([]float64, len(benchmarks))
 	s.cumRun = make([]float64, len(benchmarks))
 	s.busyUntil = make([]float64, nCores)
-	return s, nil
+	return s
 }
 
 // Waiting marks a process that currently has no core.

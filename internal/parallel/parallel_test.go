@@ -125,11 +125,52 @@ func TestForEachParentCancellation(t *testing.T) {
 	}
 }
 
+// TestForEachBlockedIndexDoesNotStall is the starvation guard: a
+// worker blocked in one long-running index must not strand the rest.
+// Index 0 runs first and blocks until every other index has finished,
+// so the run can only complete if the other worker takes all of them.
+func TestForEachBlockedIndexDoesNotStall(t *testing.T) {
+	const smalls = 20
+	var done sync.WaitGroup
+	done.Add(smalls)
+	release := make(chan struct{})
+	go func() {
+		done.Wait()
+		close(release)
+	}()
+	err := ForEach(context.Background(), 2, smalls+1, func(_ context.Context, i int) error {
+		if i == 0 {
+			select {
+			case <-release:
+				return nil
+			case <-time.After(20 * time.Second):
+				return fmt.Errorf("starvation: indices queued behind the blocked one never ran")
+			}
+		}
+		done.Done()
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestForEachZeroItems covers the empty range and the pre-cancelled
+// parent: neither calls fn, and the cancelled parent is reported.
 func TestForEachZeroItems(t *testing.T) {
 	if err := ForEach(context.Background(), 4, 0, func(context.Context, int) error {
 		t.Fatal("fn called for empty range")
 		return nil
 	}); err != nil {
 		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	err := ForEach(ctx, 4, 3, func(context.Context, int) error {
+		t.Error("fn called under a pre-cancelled parent")
+		return nil
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("pre-cancelled parent: got %v, want context.Canceled", err)
 	}
 }

@@ -5,14 +5,13 @@ import (
 	"sync"
 )
 
-// Pool is the long-running counterpart of RunTasks: a fixed set of
-// workers draining a shared job queue for the lifetime of a server
-// rather than of one sweep. RunTasks knows every task and its cost up
-// front and starts the longest first; a server's jobs — one
-// already-formed lockstep batch each — arrive over time, so they run
-// from a single FIFO under one mutex. Fairness falls out of FIFO
-// order: requests run in arrival order, which also keeps tail latency
-// under saturation an honest function of queue depth.
+// Pool is a fixed set of workers draining one shared FIFO job queue
+// under one mutex. The serving stack keeps one for its lifetime, its
+// jobs — one already-formed lockstep batch each — arriving over time;
+// ForEach runs a bounded sweep's indices on a private one. Fairness
+// falls out of FIFO order: jobs run in submission order, which also
+// keeps tail latency under saturation an honest function of queue
+// depth.
 //
 // ErrPoolClosed aside, Submit never blocks and never sheds — admission
 // control belongs to the caller (the serve layer bounds in-flight work
@@ -30,11 +29,10 @@ type Pool struct {
 // ErrPoolClosed is returned by Submit after Close has begun.
 var ErrPoolClosed = errors.New("parallel: pool closed")
 
-// NewPool starts a pool with the given number of workers (at least 1).
+// NewPool starts a pool with the given number of workers, resolved by
+// Workers: 0 or less selects GOMAXPROCS.
 func NewPool(workers int) *Pool {
-	if workers < 1 {
-		workers = 1
-	}
+	workers = Workers(workers)
 	p := &Pool{workers: workers}
 	p.cond = sync.NewCond(&p.mu)
 	for w := 0; w < workers; w++ {

@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -18,6 +19,16 @@ func TestPoolRunsEveryJob(t *testing.T) {
 	p.Close()
 	if n := ran.Load(); n != jobs {
 		t.Fatalf("%d of %d jobs ran", n, jobs)
+	}
+}
+
+// TestNewPoolZeroSelectsGOMAXPROCS pins the zero-worker rule NewPool
+// shares with ForEach and parallel.Workers: 0 means GOMAXPROCS, not 1.
+func TestNewPoolZeroSelectsGOMAXPROCS(t *testing.T) {
+	p := NewPool(0)
+	defer p.Close()
+	if got, want := p.Workers(), runtime.GOMAXPROCS(0); got != want {
+		t.Fatalf("NewPool(0).Workers() = %d, want GOMAXPROCS = %d", got, want)
 	}
 }
 

@@ -2,25 +2,34 @@ package parallel
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"sync"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// TestRunTasksRunsAll checks every task runs exactly once at several
-// worker counts, including workers exceeding the task count.
+// The TestRunTasks* tests cover ForEach. They keep the names they had
+// when they covered RunTasks, the cost-sorted queue that ForEach on a
+// private Pool replaced, and each checks a side of the contract the
+// TestForEach* tests leave open.
+
+// TestRunTasksRunsAll checks every index runs exactly once at several
+// worker counts, including more workers than indices, and that no more
+// calls run at once than the resolved worker count allows.
 func TestRunTasksRunsAll(t *testing.T) {
-	for _, workers := range []int{0, 1, 2, 7, 64} {
+	for _, workers := range []int{0, 1, 2, 7, 64, 128} {
 		const n = 100
-		tasks := make([]Task, n)
-		for i := range tasks {
-			tasks[i] = Task{Index: i, Cost: float64((i * 37) % 11)}
-		}
 		var hits [n]atomic.Int64
-		err := RunTasks(context.Background(), workers, tasks, func(_ context.Context, i int) error {
+		var running, peak atomic.Int64
+		err := ForEach(context.Background(), workers, n, func(_ context.Context, i int) error {
+			cur := running.Add(1)
+			for p := peak.Load(); cur > p && !peak.CompareAndSwap(p, cur); p = peak.Load() {
+			}
 			hits[i].Add(1)
+			runtime.Gosched() // let other workers overlap this call
+			running.Add(-1)
 			return nil
 		})
 		if err != nil {
@@ -28,39 +37,40 @@ func TestRunTasksRunsAll(t *testing.T) {
 		}
 		for i := range hits {
 			if c := hits[i].Load(); c != 1 {
-				t.Fatalf("workers=%d: task %d ran %d times", workers, i, c)
+				t.Fatalf("workers=%d: index %d ran %d times", workers, i, c)
 			}
+		}
+		if p, limit := peak.Load(), int64(min(Workers(workers), n)); p > limit {
+			t.Fatalf("workers=%d: %d calls ran at once, limit %d", workers, p, limit)
 		}
 	}
 }
 
-// TestRunTasksSkewedSeeding checks skewed cost profiles: one giant
-// task among zero-cost ones with a worker per task, all-zero costs,
-// and as many workers as tasks must each run every task exactly once.
+// TestRunTasksSkewedSeeding checks skewed run-time profiles: one slow
+// index among instant ones with a worker per index, all-instant indices
+// with fewer workers than indices, and as many workers as indices with
+// run times rising by index must each run every index exactly once.
 func TestRunTasksSkewedSeeding(t *testing.T) {
 	cases := []struct {
 		name    string
 		workers int
-		costs   func(i int) float64
+		delay   func(i int) time.Duration
 	}{
-		{"one-giant-rest-zero", 16, func(i int) float64 {
+		{"one-giant-rest-zero", 16, func(i int) time.Duration {
 			if i == 0 {
-				return 1e6
+				return 5 * time.Millisecond
 			}
 			return 0
 		}},
-		{"all-zero-round-robin", 5, func(int) float64 { return 0 }},
-		{"workers-equal-tasks", 16, func(i int) float64 { return float64(i) }},
+		{"all-zero-round-robin", 5, func(int) time.Duration { return 0 }},
+		{"workers-equal-tasks", 16, func(i int) time.Duration { return time.Duration(i) * 50 * time.Microsecond }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			const n = 16
-			tasks := make([]Task, n)
-			for i := range tasks {
-				tasks[i] = Task{Index: i, Cost: tc.costs(i)}
-			}
 			var hits [n]atomic.Int64
-			err := RunTasks(context.Background(), tc.workers, tasks, func(_ context.Context, i int) error {
+			err := ForEach(context.Background(), tc.workers, n, func(_ context.Context, i int) error {
+				time.Sleep(tc.delay(i))
 				hits[i].Add(1)
 				return nil
 			})
@@ -69,7 +79,7 @@ func TestRunTasksSkewedSeeding(t *testing.T) {
 			}
 			for i := range hits {
 				if c := hits[i].Load(); c != 1 {
-					t.Fatalf("task %d ran %d times", i, c)
+					t.Fatalf("index %d ran %d times", i, c)
 				}
 			}
 		})
@@ -77,20 +87,16 @@ func TestRunTasksSkewedSeeding(t *testing.T) {
 }
 
 // TestRunTasksDeterministicResults is the determinism-order guard for
-// the scheduler: with per-task durations chosen to vary the
+// the scheduler: with per-index durations chosen to vary the
 // interleaving, index-slotted results must be identical at every
 // worker count and across repetitions — interleaving may change who
-// runs a task and when, never what the task computes or where its
-// result lands.
+// runs an index and when, never what it computes or where its result
+// lands.
 func TestRunTasksDeterministicResults(t *testing.T) {
 	const n = 64
-	tasks := make([]Task, n)
-	for i := range tasks {
-		tasks[i] = Task{Index: i, Cost: float64((i * 13) % 7)}
-	}
 	run := func(workers, rep int) [n]int {
 		var out [n]int
-		err := RunTasks(context.Background(), workers, tasks, func(_ context.Context, i int) error {
+		err := ForEach(context.Background(), workers, n, func(_ context.Context, i int) error {
 			// Durations vary with the repetition so every run interleaves
 			// differently; the slotted output must not.
 			time.Sleep(time.Duration((i*rep+rep)%5) * 100 * time.Microsecond)
@@ -112,113 +118,66 @@ func TestRunTasksDeterministicResults(t *testing.T) {
 	}
 }
 
-// TestRunTasksSequentialOrderIsCostMajor pins the schedule order:
-// descending cost, ties broken by ascending index — the order in which
-// workers take tasks off the shared cursor.
-func TestRunTasksSequentialOrderIsCostMajor(t *testing.T) {
-	tasks := []Task{
-		{Index: 0, Cost: 1},
-		{Index: 1, Cost: 5},
-		{Index: 2, Cost: 5},
-		{Index: 3, Cost: 0},
-		{Index: 4, Cost: 9},
-	}
-	var order []int
-	err := RunTasks(context.Background(), 1, tasks, func(_ context.Context, i int) error {
-		order = append(order, i)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []int{4, 1, 2, 0, 3}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("sequential order %v, want %v", order, want)
-		}
-	}
-}
-
-// TestRunTasksLowestIndexError mirrors the ForEach error contract on
-// the weighted entry point.
+// TestRunTasksLowestIndexError checks the half of the error contract
+// that interleaving can hide: when several indices fail, the lowest is
+// reported even if it fails last. Indices 1, 2 and 3 all start before
+// any returns, so the cancellation cannot skip one; 2 and 3 then fail,
+// and 1 fails only after both have.
 func TestRunTasksLowestIndexError(t *testing.T) {
-	const n = 50
-	tasks := make([]Task, n)
-	for i := range tasks {
-		// Identical costs: the schedule is index order, so index 7 fails
-		// before 23 and 41 under one worker.
-		tasks[i] = Task{Index: i}
-	}
-	for _, workers := range []int{1, 4} {
-		err := RunTasks(context.Background(), workers, tasks, func(_ context.Context, i int) error {
-			if i == 7 || i == 23 || i == 41 {
-				return fmt.Errorf("cell %d failed", i)
-			}
-			return nil
-		})
-		if err == nil {
-			t.Fatalf("workers=%d: error swallowed", workers)
-		}
-		got := err.Error()
-		if workers == 1 && got != "cell 7 failed" {
-			t.Fatalf("sequential: got %q, want cell 7", got)
-		}
-		if got != "cell 7 failed" && got != "cell 23 failed" && got != "cell 41 failed" {
-			t.Fatalf("workers=%d: unexpected error %q", workers, got)
+	within := func(ch <-chan struct{}) bool {
+		select {
+		case <-ch:
+			return true
+		case <-time.After(20 * time.Second):
+			return false
 		}
 	}
-}
-
-// TestRunTasksStealsFromBlockedWorker is the starvation guard: a worker
-// blocked in one long-running task must not strand the remaining work.
-// The long task runs first (highest cost) and blocks until every small
-// task has finished, so the run can only complete if the other worker
-// takes all of them.
-func TestRunTasksStealsFromBlockedWorker(t *testing.T) {
-	const smalls = 20
-	var done sync.WaitGroup
-	done.Add(smalls)
-	release := make(chan struct{})
-	go func() {
-		done.Wait()
-		close(release)
-	}()
-
-	tasks := make([]Task, smalls+1)
-	tasks[0] = Task{Index: 0, Cost: 10} // the blocker: scheduled first
-	for i := 1; i <= smalls; i++ {
-		tasks[i] = Task{Index: i, Cost: 1}
-	}
-	err := RunTasks(context.Background(), 2, tasks, func(_ context.Context, i int) error {
-		if i == 0 {
-			select {
-			case <-release:
+	for _, workers := range []int{3, 4, 8} {
+		var arrived atomic.Int64
+		allIn := make(chan struct{})
+		failed := make(chan struct{}, 2)
+		err := ForEach(context.Background(), workers, 50, func(_ context.Context, i int) error {
+			if i < 1 || i > 3 {
 				return nil
-			case <-time.After(20 * time.Second):
-				return fmt.Errorf("starvation: blocked worker's queued tasks were never stolen")
 			}
+			if arrived.Add(1) == 3 {
+				close(allIn)
+			}
+			if !within(allIn) {
+				return errors.New("indices 1-3 never ran together")
+			}
+			if i == 1 {
+				if !within(failed) || !within(failed) {
+					return errors.New("indices 2 and 3 never failed")
+				}
+			} else {
+				defer func() { failed <- struct{}{} }()
+			}
+			return fmt.Errorf("cell %d failed", i)
+		})
+		if err == nil || err.Error() != "cell 1 failed" {
+			t.Fatalf("workers=%d: got %v, want cell 1 failed", workers, err)
 		}
-		done.Done()
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 
-// TestRunTasksZeroAndParentCancel covers the empty input and
-// pre-cancelled parent edges.
+// TestRunTasksZeroAndParentCancel covers the edges TestForEachZeroItems
+// leaves: a negative count runs nothing and succeeds, an empty range
+// under a cancelled parent still reports the cancellation, and a
+// one-worker run under a cancelled parent never calls fn.
 func TestRunTasksZeroAndParentCancel(t *testing.T) {
-	if err := RunTasks(context.Background(), 4, nil, func(context.Context, int) error {
-		t.Fatal("fn called for empty task list")
+	never := func(context.Context, int) error {
+		t.Error("fn called")
 		return nil
-	}); err != nil {
-		t.Fatal(err)
+	}
+	if err := ForEach(context.Background(), 4, -1, never); err != nil {
+		t.Fatalf("negative count: %v", err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err := RunTasks(ctx, 4, []Task{{Index: 0}}, func(context.Context, int) error { return nil })
-	if err == nil {
-		t.Fatal("pre-cancelled parent not reported")
+	for _, n := range []int{0, 1} {
+		if err := ForEach(ctx, 1, n, never); !errors.Is(err, context.Canceled) {
+			t.Fatalf("n=%d under a cancelled parent: got %v, want context.Canceled", n, err)
+		}
 	}
 }

@@ -3,10 +3,12 @@ package serve
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -345,6 +347,26 @@ func TestTraceStreamDeterministic(t *testing.T) {
 	last := lines[len(lines)-1]
 	if !strings.HasPrefix(last, `{"result":`) || !strings.Contains(last, `"bips":`) {
 		t.Fatalf("final trace line = %q, want the canonical result", last)
+	}
+}
+
+// TestDefaultWorkersIsGOMAXPROCS pins Config.Workers' documented
+// default end to end: a zero-value config serves with one pool worker
+// per GOMAXPROCS, as /v1/stats reports.
+func TestDefaultWorkersIsGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	_, ts := newTestServer(t, Config{})
+	resp, err := http.Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatalf("GET stats: %v", err)
+	}
+	defer resp.Body.Close()
+	var st Stats
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatalf("decoding stats: %v", err)
+	}
+	if st.Workers != 4 {
+		t.Fatalf("stats report %d workers at GOMAXPROCS=4, want 4", st.Workers)
 	}
 }
 

@@ -114,7 +114,6 @@ type Runner struct {
 	// runs, a longer list under time-shared multiprogramming).
 	label      string
 	benchNames []string
-	timeshared bool
 
 	model   *thermal.Model
 	calc    *power.Calculator
@@ -141,9 +140,10 @@ func New(cfg Config, mix workload.Mix, spec core.PolicySpec) (*Runner, error) {
 	return newRunner(cfg, spec, mix.Name, mix.Benchmarks[:], false, 0)
 }
 
-// newRunner is the constructor body New and NewTimeshared share. They
-// differ only in the OS scheduler: one process pinned per core, or a
-// time-shared population rotated every timeslice.
+// newRunner is the constructor body New and NewTimeshared share. Both
+// run the time-shared OS scheduler; New's one process per core leaves
+// nothing waiting, so it never rotates. timeshared only lifts the
+// one-benchmark-per-core check.
 func newRunner(cfg Config, spec core.PolicySpec, label string, benchmarks []string,
 	timeshared bool, timeslice float64) (*Runner, error) {
 	if cfg.SimTime <= 0 {
@@ -180,8 +180,7 @@ func newRunner(cfg Config, spec core.PolicySpec, label string, benchmarks []stri
 	r := &Runner{
 		cfg: cfg, spec: spec,
 		label: label, benchNames: append([]string(nil), benchmarks...),
-		timeshared: timeshared,
-		model:      model, calc: calc, bank: bank,
+		model: model, calc: calc, bank: bank,
 		nCores:    nCores,
 		prevScale: make([]units.ScaleFactor, nCores),
 	}
@@ -201,12 +200,8 @@ func newRunner(cfg Config, spec core.PolicySpec, label string, benchmarks []stri
 		r.cursors = append(r.cursors, trace.NewCursor(tr))
 	}
 
-	if timeshared {
-		if r.sched, err = osched.NewTimeshared(r.benchNames, nCores, timeslice); err != nil {
-			return nil, err
-		}
-	} else {
-		r.sched = osched.NewScheduler(r.benchNames)
+	if r.sched, err = osched.NewTimeshared(r.benchNames, nCores, timeslice); err != nil {
+		return nil, err
 	}
 	if cfg.MigrationEpoch > 0 {
 		r.sched.SetEpoch(float64(cfg.MigrationEpoch))
@@ -437,7 +432,7 @@ func (s *tickState) pre() error {
 	// Fairness preemption (time-shared multiprogramming): when more
 	// processes than cores are runnable, the longest-waiting process
 	// replaces the longest-running one each timeslice.
-	if r.timeshared && r.sched.NeedsRotation(float64(now)) {
+	if r.sched.NeedsRotation(float64(now)) {
 		before := r.sched.Assignment()
 		next := r.sched.RotationAssignment(float64(now))
 		if _, err := r.sched.Apply(float64(now), next); err != nil {

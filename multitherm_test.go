@@ -95,9 +95,6 @@ func TestRunExperimentStatic(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
-		if res.ID() != id {
-			t.Errorf("result id = %s, want %s", res.ID(), id)
-		}
 		if !strings.Contains(res.Render(), "Table") && id != "pi" {
 			t.Errorf("%s render looks empty:\n%s", id, res.Render())
 		}

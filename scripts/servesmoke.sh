@@ -3,11 +3,13 @@
 #
 # Builds thermald and tracegen and checks that every operator-flag
 # ceiling refuses its first out-of-range value. Then starts thermald on
-# an ephemeral port, fires a mixed sim/sweep/trace burst at it with
-# curl twice, in opposite client orderings, and fails unless every
-# response is bit-identical across the two bursts — the serving
-# layer's determinism contract. Finishes by exercising the SIGTERM
-# drain path and checking the server reports a clean exit.
+# an ephemeral port at GOMAXPROCS=3, checks that /v1/stats reports the
+# default pool of one worker per GOMAXPROCS, fires a mixed
+# sim/sweep/trace burst at it with curl twice, in opposite client
+# orderings, and fails unless every response is bit-identical across
+# the two bursts — the serving layer's determinism contract. Finishes
+# by exercising the SIGTERM drain path and checking the server reports
+# a clean exit.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -43,7 +45,10 @@ done
 check_ceiling 1 "$tmp/tracegen" -benchmark no-such-benchmark -n 4194305
 echo "servesmoke: every operator-flag ceiling refuses its first out-of-range value" >&2
 
-"$tmp/thermald" -addr 127.0.0.1:0 >"$tmp/thermald.log" 2>&1 &
+# GOMAXPROCS=3 is set explicitly so the workers check below sees the
+# default -workers 0 resolve through GOMAXPROCS; an odd width also
+# rules out matching a fixed or clamped default by chance.
+GOMAXPROCS=3 "$tmp/thermald" -addr 127.0.0.1:0 >"$tmp/thermald.log" 2>&1 &
 pid=$!
 
 # The server prints "thermald: listening on http://host:port" once the
@@ -60,6 +65,15 @@ while [ $i -lt 100 ]; do
 done
 [ -n "$url" ] || { echo "FAIL: thermald never reported its address" >&2; exit 1; }
 echo "thermald up at ${url}" >&2
+
+# Default pool width: -workers 0 means one worker per GOMAXPROCS.
+curl -sS --fail-with-body -o "$tmp/stats" "$url/v1/stats"
+grep -q '"workers":3' "$tmp/stats" || {
+    { cat "$tmp/stats"; echo; } >&2
+    echo "FAIL: /v1/stats does not report \"workers\":3 at GOMAXPROCS=3" >&2
+    exit 1
+}
+echo "servesmoke: default pool has one worker per GOMAXPROCS" >&2
 
 # Determinism burst: five requests (three /v1/sim, one /v1/sweep, one
 # /v1/sim/trace) fired concurrently, then again in the opposite order.
