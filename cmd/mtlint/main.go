@@ -5,17 +5,11 @@
 //
 // Analyzers (see internal/analysis/... for the full contracts):
 //
-//	determinism  — wall-clock reads, global rand, map iteration, and
-//	               unordered goroutine result collection in
-//	               //mtlint:deterministic packages
-//	floatcmp     — ==/!= and switch on floating-point operands
-//	zeroalloc    — heap escapes inside //mtlint:zeroalloc functions
-//	               (from `go build -gcflags=-m` output)
-//	kernelparity — asm kernels must register a generic twin and a
-//	               differential test via //mtlint:generic
-//	unitsafety   — raw floats in unit-bearing APIs, cross-dimension
-//	               conversions, and unaudited .Raw() escapes in
-//	               //mtlint:units packages
+//	determinism — wall-clock reads, global rand, map iteration, and
+//	              unordered goroutine result collection in
+//	              //mtlint:deterministic packages
+//	zeroalloc   — heap escapes inside //mtlint:zeroalloc functions
+//	              (from `go build -gcflags=-m` output)
 //
 // Exit status is 2 on findings or type errors, 1 on infrastructure
 // failure, 0 when clean. -json emits machine-readable findings.
@@ -30,18 +24,12 @@ import (
 
 	"multitherm/internal/analysis/determinism"
 	"multitherm/internal/analysis/driver"
-	"multitherm/internal/analysis/floatcmp"
-	"multitherm/internal/analysis/kernelparity"
-	"multitherm/internal/analysis/unitsafety"
 	"multitherm/internal/analysis/zeroalloc"
 )
 
 var all = []*driver.Analyzer{
 	determinism.Analyzer,
-	floatcmp.Analyzer,
 	zeroalloc.Analyzer,
-	kernelparity.Analyzer,
-	unitsafety.Analyzer,
 }
 
 func main() {

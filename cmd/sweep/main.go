@@ -16,8 +16,6 @@
 // sharing one thermal propagator step in lockstep batches of up to
 // sim.DefaultBatchSize lanes; results are identical at any worker
 // count.
-//
-//mtlint:units
 package main
 
 import (

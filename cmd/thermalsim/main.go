@@ -7,8 +7,6 @@
 //	thermalsim -workload workload7 -policy dist-dvfs
 //	thermalsim -workload workload3 -policy dist-stopgo+counter -timeline
 //	thermalsim -list
-//
-//mtlint:units
 package main
 
 import (

@@ -1,12 +1,13 @@
-// Command tracegen generates and inspects the per-benchmark activity
-// traces that drive the thermal/timing simulator (the Turandot +
-// PowerTimer stage of the paper's Figure 2).
+// Command tracegen records the activity trace of one benchmark profile,
+// the kind of trace that drives the thermal/timing simulator (the
+// Turandot + PowerTimer stage of the paper's Figure 2), and prints its
+// summary. The simulator records the traces it runs in process, so no
+// trace file format exists.
 //
 // Usage:
 //
-//	tracegen -benchmark gzip -n 3600 -o gzip.trace      # binary trace
-//	tracegen -benchmark swim -json -o swim.json          # JSON trace
-//	tracegen -benchmark mcf -stats                       # print summary
+//	tracegen -benchmark mcf           # summarize a 3600-sample trace
+//	tracegen -benchmark gzip -n 100   # summarize a shorter one
 //	tracegen -list
 package main
 
@@ -24,9 +25,6 @@ import (
 func main() {
 	bench := flag.String("benchmark", "gzip", "benchmark profile name")
 	n := flag.Int("n", 3600, "number of 100K-cycle samples (~100 ms at 3.6 GHz)")
-	out := flag.String("o", "", "output file ('-' or empty prints stats)")
-	asJSON := flag.Bool("json", false, "write JSON instead of binary")
-	stats := flag.Bool("stats", false, "print trace statistics")
 	list := flag.Bool("list", false, "list benchmark profiles, then exit")
 	flag.Parse()
 
@@ -54,30 +52,15 @@ func main() {
 	tr, err := trace.Record(gen, *n)
 	fatal(err)
 
-	if *out != "" && *out != "-" {
-		f, err := os.Create(*out)
-		fatal(err)
-		defer f.Close()
-		if *asJSON {
-			fatal(tr.WriteJSON(f))
-		} else {
-			fatal(tr.WriteBinary(f))
-		}
-		fmt.Printf("wrote %d samples (%.1f ms of execution) to %s\n",
-			tr.Len(), tr.Duration()*1e3, *out)
-	}
-
-	if *stats || *out == "" || *out == "-" {
-		fmt.Printf("benchmark:      %s (%s)\n", prof.Name, prof.Category)
-		fmt.Printf("nominal IPC:    %.2f\n", gen.NominalIPC())
-		fmt.Printf("samples:        %d (%.1f ms at full speed)\n", tr.Len(), tr.Duration()*1e3)
-		fmt.Printf("mean instr/smp: %.0f\n", tr.MeanInstructionsPerSample())
-		s := tr.At(0)
-		fmt.Printf("activity[0]:    irf=%.2f fprf=%.2f fxu=%.2f fpu=%.2f l2=%.2f\n",
-			s.ActivityFor(floorplan.KindIntRegFile), s.ActivityFor(floorplan.KindFPRegFile),
-			s.ActivityFor(floorplan.KindFXU), s.ActivityFor(floorplan.KindFPU),
-			s.ActivityFor(floorplan.KindL2))
-	}
+	fmt.Printf("benchmark:      %s (%s)\n", prof.Name, prof.Category)
+	fmt.Printf("nominal IPC:    %.2f\n", gen.NominalIPC())
+	fmt.Printf("samples:        %d (%.1f ms at full speed)\n", tr.Len(), tr.Duration()*1e3)
+	fmt.Printf("mean instr/smp: %.0f\n", tr.MeanInstructionsPerSample())
+	s := tr.At(0)
+	fmt.Printf("activity[0]:    irf=%.2f fprf=%.2f fxu=%.2f fpu=%.2f l2=%.2f\n",
+		s.ActivityFor(floorplan.KindIntRegFile), s.ActivityFor(floorplan.KindFPRegFile),
+		s.ActivityFor(floorplan.KindFXU), s.ActivityFor(floorplan.KindFPU),
+		s.ActivityFor(floorplan.KindL2))
 }
 
 func fatal(err error) {

@@ -39,7 +39,7 @@ func main() {
 	for _, pt := range pi.Series(plant).RootLocus([]float64{0.1, 0.3, 1, 3, 10}) {
 		worst := 0.0
 		for _, p := range pt.Poles {
-			if real(p) > worst || worst == 0 { //mtlint:allow floatcmp zero is the unset-sentinel for the dominant pole
+			if real(p) > worst || worst == 0 { // zero means no pole seen yet
 				worst = real(p)
 			}
 		}

@@ -18,32 +18,9 @@ import (
 //	    zeroalloc analyzer fails the build if escape analysis reports
 //	    any heap allocation inside the function body.
 //
-//	//mtlint:generic <name> tested-by <TestOrFuzzName>
-//	    Function marker on a body-less assembly prototype naming its
-//	    pure-Go twin and the differential test or fuzz target that
-//	    exercises both.
-//
-//	//mtlint:nogeneric <reason>
-//	    Function marker exempting an assembly prototype that is not a
-//	    compute kernel (e.g. CPUID feature probes) from kernel parity.
-//
-//	//mtlint:units
-//	    Package marker, placed with the package clause (any file).
-//	    Opts the package into the unitsafety analyzer: exported
-//	    signatures and struct fields must carry internal/units types
-//	    for unit-bearing quantities, cross-dimension conversions are
-//	    flagged, and .Raw() escapes must be audited.
-//
-//	//mtlint:unitboundary <reason>
-//	    Function marker, placed in a function's doc comment. Declares
-//	    the function a sanctioned unit-erasing boundary, permitting
-//	    .Raw() calls inside its body (//mtlint:zeroalloc implies the
-//	    same permission — the zero-alloc kernels are the boundary).
-//
 //	//mtlint:allow <check> [reason]
 //	    Line-level suppression, on the flagged line or the line
-//	    directly above it. Checks: floatcmp, maprange, time, rand,
-//	    goappend, unit.
+//	    directly above it. Checks: maprange, time, rand, goappend.
 const directivePrefix = "//mtlint:"
 
 // directive splits an "//mtlint:name args..." comment into its name
@@ -87,24 +64,17 @@ func PackageMarked(pkg *Package, name string) bool {
 	return false
 }
 
-// FuncDirective returns the argument string of the //mtlint:<name>
-// directive in fn's doc comment, and whether it is present.
-func FuncDirective(fn *ast.FuncDecl, name string) (args string, ok bool) {
-	if fn.Doc == nil {
-		return "", false
-	}
-	for _, c := range fn.Doc.List {
-		if n, a, isDir := directive(c); isDir && n == name {
-			return a, true
-		}
-	}
-	return "", false
-}
-
 // FuncMarked reports whether fn's doc comment carries //mtlint:<name>.
 func FuncMarked(fn *ast.FuncDecl, name string) bool {
-	_, ok := FuncDirective(fn, name)
-	return ok
+	if fn.Doc == nil {
+		return false
+	}
+	for _, c := range fn.Doc.List {
+		if n, _, ok := directive(c); ok && n == name {
+			return true
+		}
+	}
+	return false
 }
 
 // Allowed reports whether a "//mtlint:allow <check>" suppression

@@ -6,11 +6,10 @@
 // the go command already produces), hands each package to a set of
 // Analyzers, and collects position-tagged diagnostics.
 //
-// The domain analyzers under internal/analysis/... enforce the
+// The domain analyzers under internal/analysis/... enforce two
 // invariants the simulator's correctness claims rest on — reproducible
-// closed-loop trajectories, float-comparison hygiene, zero-allocation
-// hot ticks, and asm/generic kernel parity — and cmd/mtlint wires them
-// into one CLI gate.
+// closed-loop trajectories and zero-allocation hot ticks — and
+// cmd/mtlint wires them into one CLI gate.
 package driver
 
 import (

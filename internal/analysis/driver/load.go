@@ -18,8 +18,8 @@ import (
 )
 
 // Package is one loaded, type-checked package plus the metadata the
-// analyzers need (assembly files, in-package test sources, module
-// context for re-invoking the go tool).
+// analyzers need (in-package test sources, module context for
+// re-invoking the go tool).
 type Package struct {
 	ImportPath string
 	Name       string
@@ -27,7 +27,6 @@ type Package struct {
 
 	GoFiles     []string // absolute paths, non-test
 	TestGoFiles []string // absolute paths, in-package _test.go files
-	SFiles      []string // absolute paths, assembly sources
 
 	Fset      *token.FileSet
 	Files     []*ast.File // parsed GoFiles, with comments
@@ -50,7 +49,6 @@ type goListPkg struct {
 	Name        string
 	GoFiles     []string
 	TestGoFiles []string
-	SFiles      []string
 	Export      string
 	ImportMap   map[string]string
 	DepOnly     bool
@@ -72,7 +70,7 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	}
 	args := append([]string{
 		"list", "-e", "-deps", "-export",
-		"-json=Dir,ImportPath,Name,GoFiles,TestGoFiles,SFiles,Export,ImportMap,DepOnly,Standard,Incomplete,Error",
+		"-json=Dir,ImportPath,Name,GoFiles,TestGoFiles,Export,ImportMap,DepOnly,Standard,Incomplete,Error",
 	}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
@@ -157,7 +155,6 @@ func typecheck(fset *token.FileSet, imp types.Importer, lp *goListPkg) (*Package
 		Dir:         lp.Dir,
 		GoFiles:     absAll(lp.Dir, lp.GoFiles),
 		TestGoFiles: absAll(lp.Dir, lp.TestGoFiles),
-		SFiles:      absAll(lp.Dir, lp.SFiles),
 		Fset:        fset,
 	}
 	for _, f := range pkg.GoFiles {

@@ -9,12 +9,12 @@ import (
 	"multitherm/internal/analysis/driver"
 )
 
-// loadFixture loads the small multi-package module the unitsafety
-// analyzer tests carry; it gives Run several independent passes to fan
-// out without depending on the repository's own package graph.
+// loadFixture loads the small multi-package module under testdata; it
+// gives Run several independent passes to fan out without depending on
+// the repository's own package graph.
 func loadFixture(t *testing.T) []*driver.Package {
 	t.Helper()
-	pkgs, err := driver.Load("../unitsafety/testdata/src", "./...")
+	pkgs, err := driver.Load("testdata/src", "./...")
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}

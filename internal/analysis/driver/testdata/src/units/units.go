@@ -1,6 +1,6 @@
-// Package units is a miniature stand-in for the repository's
-// internal/units: the analyzer identifies unit gauges by the declaring
-// package's name, so fixtures carry their own.
+// Package units is a miniature typed-quantity package, one of the
+// fixture module's three packages; unmarked imports it, so loading
+// resolves an in-module dependency.
 package units
 
 // Celsius is a temperature.

@@ -48,7 +48,7 @@ func (m DiscretizeMethod) String() string {
 // response coefficients come out negative-leaning: hotter than target
 // drives the actuator (frequency scale) down.
 type DiscretePI struct {
-	//mtlint:allow unit B0/B1 are gains in scale per °C (Rao et al.'s gain-units caveat), not a units dimension
+	// B0 and B1 are gains in scale per °C (Rao et al.'s gain-units caveat).
 	B0, B1 float64       // coefficients on e[n] and e[n−1]
 	Period units.Seconds // sample period
 	Method DiscretizeMethod

@@ -126,7 +126,7 @@ func (p *PIRuntime) Step(measuredTemp units.Celsius) units.ScaleFactor {
 	// steady-state accuracy; rail values always pass through so full
 	// recovery is never held up.
 	if math.Abs(float64(next-p.applied)) >= float64(p.limits.MinTransition) ||
-		next == p.limits.Max || next == p.limits.Min { //mtlint:allow floatcmp rail values are assigned verbatim from the limits; both sides units.ScaleFactor, same dimension
+		next == p.limits.Max || next == p.limits.Min { // rail values are assigned verbatim from the limits
 		p.applied = next
 	}
 
@@ -145,8 +145,7 @@ func (p *PIRuntime) Step(measuredTemp units.Celsius) units.ScaleFactor {
 // data").
 type TrendReport struct {
 	AvgScale units.ScaleFactor // mean applied frequency scale factor
-	//mtlint:allow unit mean dT/dt at the controlled hotspot is °C/s — a rate, neither Celsius nor Seconds
-	AvgSlope float64
+	AvgSlope float64           // mean dT/dt at the controlled hotspot, °C/s
 	Samples  int
 }
 

@@ -18,7 +18,7 @@ import (
 // that claim testable.
 func PID(kp, ki, kd, tauF float64) TF {
 	pi := PI(kp, ki)
-	if kd == 0 { //mtlint:allow floatcmp exact zero means no derivative term configured
+	if kd == 0 {
 		return pi
 	}
 	d := TF{Num: poly.New(0, kd), Den: poly.New(1, tauF)}
@@ -32,7 +32,7 @@ func PID(kp, ki, kd, tauF float64) TF {
 //
 //	u[n] = u[n−1] + B0·e[n] + B1·e[n−1] + B2·e[n−2]
 type DiscretePID struct {
-	//mtlint:allow unit B0/B1/B2 are gains in scale per °C, not a units dimension
+	// B0, B1 and B2 are gains in scale per °C.
 	B0, B1, B2 float64
 	Period     units.Seconds
 }
@@ -89,7 +89,7 @@ func (p *PIDRuntime) Step(measuredTemp units.Celsius) units.ScaleFactor {
 	}
 	p.u = next
 	if math.Abs(float64(next-p.applied)) >= float64(p.limits.MinTransition) ||
-		next == p.limits.Max || next == p.limits.Min { //mtlint:allow floatcmp rail values are assigned verbatim from the limits; both sides units.ScaleFactor, same dimension
+		next == p.limits.Max || next == p.limits.Min {
 		p.applied = next
 	}
 	p.prev2 = p.prevErr
@@ -100,8 +100,7 @@ func (p *PIDRuntime) Step(measuredTemp units.Celsius) units.ScaleFactor {
 // ThermalControlQuality summarizes a controller's behaviour on the
 // canonical cubic-power hotspot testbench.
 type ThermalControlQuality struct {
-	PeakTempC units.Celsius // worst overshoot
-	//mtlint:allow unit settle time reported in milliseconds for readability, not units.Seconds
+	PeakTempC    units.Celsius // worst overshoot
 	SettleMS     float64       // time to stay within ±0.5 °C of setpoint
 	MeanAbsErrC  units.Celsius // average |T − setpoint| after settling
 	FinalScale   units.ScaleFactor

@@ -7,7 +7,6 @@
 // deadband.
 //
 //mtlint:deterministic
-//mtlint:units
 package control
 
 import (
@@ -88,7 +87,7 @@ func (g TF) Eval(s complex128) complex128 {
 // the origin (e.g. a pure integrator).
 func (g TF) DCGain() float64 {
 	d := g.Den.Eval(0)
-	if d == 0 { //mtlint:allow floatcmp exact zero denominator is the pole-at-origin contract
+	if d == 0 {
 		return math.Inf(sign(g.Num.Eval(0)))
 	}
 	return g.Num.Eval(0) / d
@@ -145,7 +144,7 @@ func (g TF) RootLocus(gains []float64) []RootLocusPoint {
 // StabilityMargin returns the distance of the rightmost pole from the
 // imaginary axis (positive = stable by that margin).
 //
-//mtlint:allow unit pole distance in the s-plane (1/s), not a units dimension
+// The margin is in 1/s.
 func (g TF) StabilityMargin() float64 {
 	margin := math.Inf(1)
 	for _, p := range g.Poles() {

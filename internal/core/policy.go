@@ -8,7 +8,6 @@
 // composition of Figure 1 is assembled by the simulator.
 //
 //mtlint:deterministic
-//mtlint:units
 package core
 
 import (
@@ -177,7 +176,6 @@ type Params struct {
 	// SamplePeriod is the control interval (100K cycles ≈ 27.8 µs).
 	SamplePeriod units.Seconds
 	// PI gains in scale per °C (§4.1) and actuator limits (§4.2).
-	//mtlint:allow unit controller gains are scale per °C, not a units dimension
 	Kp, Ki float64
 	Limits control.PILimits
 	// TransitionPenalty is the PLL/voltage retarget cost (10 µs).

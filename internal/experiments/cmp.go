@@ -71,8 +71,6 @@ func runStudy(o Options, specs []core.PolicySpec) (*PolicyStudy, error) {
 }
 
 // Relative returns the policy's mean throughput over the baseline's.
-//
-//mtlint:allow unit relative throughput is a dimensionless ratio, not BIPS
 func (s *PolicyStudy) Relative(spec core.PolicySpec) float64 {
 	return s.Summary[spec].Relative(s.Baseline)
 }

@@ -7,7 +7,6 @@
 // the paper's format next to the published values.
 //
 //mtlint:deterministic
-//mtlint:units
 package experiments
 
 import (

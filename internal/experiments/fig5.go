@@ -15,7 +15,6 @@ import (
 // core: both register-file hotspot temperatures, the DVFS scale factor,
 // and the resident benchmark.
 type Fig5Point struct {
-	//mtlint:allow unit milliseconds on the figure's axis, not the Seconds gauge
 	TimeMS    float64
 	IntRF     units.Celsius
 	FPRF      units.Celsius

@@ -77,13 +77,12 @@ func Table4() *StaticResult {
 // discrete control law, and the stability analysis the paper performs
 // with MATLAB (root locus / pole placement).
 type PIAnalysis struct {
-	B0, B1       float64 // reproduced discrete coefficients
-	PaperB0      float64
-	PaperB1      float64
-	ContinuousOK bool // closed-loop poles in left half plane
-	DiscreteOK   bool // closed-loop poles inside unit circle
-	RobustnessOK bool // stability preserved at 0.1x and 10x gains
-	//mtlint:allow unit settling time reported in milliseconds for readability, not units.Seconds
+	B0, B1         float64 // reproduced discrete coefficients
+	PaperB0        float64
+	PaperB1        float64
+	ContinuousOK   bool // closed-loop poles in left half plane
+	DiscreteOK     bool // closed-loop poles inside unit circle
+	RobustnessOK   bool // stability preserved at 0.1x and 10x gains
 	SettlingTimeMS float64
 }
 

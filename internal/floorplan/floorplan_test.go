@@ -182,6 +182,41 @@ func TestAdjacencySymmetricAndComplete(t *testing.T) {
 	}
 }
 
+// TestAdjacencyCounts pins how many block pairs each shipped layout
+// joins. Layout coordinates are sums of floating-point products, so
+// edges that touch on paper can miss by an ulp; an exact comparison in
+// SharedEdge instead of the geomEps slop drops pairs (CMP4 to 93,
+// Banias to 15, 8x8 to 564, 16x16 to 2114), and with them the lateral
+// conductances the thermal model builds from these pairs.
+func TestAdjacencyCounts(t *testing.T) {
+	grid := func(s string) *Floorplan {
+		spec, err := ParseGridSpec(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := Grid(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	for _, c := range []struct {
+		name string
+		fp   *Floorplan
+		want int
+	}{
+		{"CMP4", CMP4(), 95},
+		{"Banias", Banias(), 26},
+		{"4x4", grid("4x4"), 140},
+		{"8x8", grid("8x8"), 600},
+		{"16x16", grid("16x16"), 2480},
+	} {
+		if got := len(c.fp.Adjacencies()); got != c.want {
+			t.Errorf("%s: %d adjacent block pairs, want %d", c.name, got, c.want)
+		}
+	}
+}
+
 func TestValidateCatchesOverlap(t *testing.T) {
 	f := &Floorplan{Name: "bad", ChipW: 2 * mm, ChipH: 2 * mm, Blocks: []Block{
 		{Name: "a", X: 0, Y: 0, W: 1.5 * mm, H: 1 * mm},

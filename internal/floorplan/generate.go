@@ -165,7 +165,7 @@ func buildGrid(spec GridSpec) (*Floorplan, error) {
 	if boost < 0 {
 		return nil, fmt.Errorf("floorplan: grid spec %dx%d: negative cooling boost", spec.Rows, spec.Cols)
 	}
-	if boost == 0 { //mtlint:allow floatcmp zero is the explicit "use the default" sentinel, not a computed value
+	if boost == 0 {
 		boost = DefaultGridBoost
 	}
 	fp := &Floorplan{

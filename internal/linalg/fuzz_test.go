@@ -8,11 +8,11 @@ import (
 
 // Differential fuzz targets for the asm-backed kernels: every input is
 // run through both the dispatching entry point (SIMD when available)
-// and the registered pure-Go twin, and the results compared. These are
-// the tested-by targets named in the //mtlint:generic directives in
-// simd_amd64.go, and they double as the noasm leg's property tests —
-// on a noasm build both paths collapse to the generic kernel and the
-// comparisons must be exact.
+// and its pure-Go twin, and the results compared. Each asm prototype's
+// doc comment in simd_amd64.go names its twin and its target here. The
+// targets double as the noasm leg's property tests: on a noasm build
+// both paths collapse to the generic kernel and the comparisons must be
+// exact.
 //
 // Inputs arrive as (seed, size, ...) primitives rather than raw bytes:
 // a seeded PRNG expands them into operands, so every corpus entry is

@@ -41,7 +41,7 @@ func Factor(a *Matrix) (*LU, error) {
 				p, maxAbs = i, a
 			}
 		}
-		if maxAbs == 0 { //mtlint:allow floatcmp exact zero pivot column is the singularity contract
+		if maxAbs == 0 {
 			return nil, ErrSingular
 		}
 		if p != k {
@@ -55,7 +55,7 @@ func Factor(a *Matrix) (*LU, error) {
 		for i := k + 1; i < n; i++ {
 			m := f.lu[i*n+k] / pivot
 			f.lu[i*n+k] = m
-			if m == 0 { //mtlint:allow floatcmp exact-zero multiplier skip is bit-effect-free
+			if m == 0 { // exact-zero multiplier skip is bit-effect-free
 				continue
 			}
 			for j := k + 1; j < n; j++ {
@@ -88,7 +88,7 @@ func (f *LU) Solve(b []float64) ([]float64, error) {
 			s -= f.lu[i*n+j] * x[j]
 		}
 		d := f.lu[i*n+i]
-		if d == 0 { //mtlint:allow floatcmp exact zero pivot is the singularity contract
+		if d == 0 {
 			return nil, ErrSingular
 		}
 		x[i] = s / d

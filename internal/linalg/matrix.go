@@ -145,7 +145,7 @@ func (m *Matrix) Mul(b *Matrix) *Matrix {
 	for i := 0; i < m.rows; i++ {
 		for k := 0; k < m.cols; k++ {
 			a := m.At(i, k)
-			if a == 0 { //mtlint:allow floatcmp exact-zero skip adds no rounding (x+0 == x)
+			if a == 0 { // exact-zero skip adds no rounding (x+0 == x)
 				continue
 			}
 			for j := 0; j < b.cols; j++ {

@@ -113,7 +113,7 @@ func (p *Packed) mulAddGeneric(y, bias, x []float64) {
 	copy(y, bias)
 	for j := 0; j < p.cols; j++ {
 		xj := x[j]
-		if xj == 0 { //mtlint:allow floatcmp exact-zero skip adds no rounding (x+0 == x)
+		if xj == 0 { // exact-zero skip adds no rounding (x+0 == x)
 			continue
 		}
 		col := p.data[j*p.stride : j*p.stride+p.rows]
@@ -200,7 +200,7 @@ func (p *Packed) mulBatchGeneric(y, bias []float64, k int, x []float64, xStride 
 		for j := 0; j < p.cols; j++ {
 			col := p.data[j*p.stride : j*p.stride+p.rows]
 			a, b, c, d := xA[j], xB[j], xC[j], xD[j]
-			if a != 0 && b != 0 && c != 0 && d != 0 { //mtlint:allow floatcmp exact-zero skip adds no rounding (x+0 == x)
+			if a != 0 && b != 0 && c != 0 && d != 0 {
 				for i, v := range col {
 					yA[i] += v * a
 					yB[i] += v * b
@@ -211,22 +211,22 @@ func (p *Packed) mulBatchGeneric(y, bias []float64, k int, x []float64, xStride 
 			}
 			// A lane with a zero input skips the column, exactly as
 			// mulAddGeneric would; the others still share this read of it.
-			if a != 0 { //mtlint:allow floatcmp exact-zero skip adds no rounding (x+0 == x)
+			if a != 0 {
 				for i, v := range col {
 					yA[i] += v * a
 				}
 			}
-			if b != 0 { //mtlint:allow floatcmp exact-zero skip adds no rounding (x+0 == x)
+			if b != 0 {
 				for i, v := range col {
 					yB[i] += v * b
 				}
 			}
-			if c != 0 { //mtlint:allow floatcmp exact-zero skip adds no rounding (x+0 == x)
+			if c != 0 {
 				for i, v := range col {
 					yC[i] += v * c
 				}
 			}
-			if d != 0 { //mtlint:allow floatcmp exact-zero skip adds no rounding (x+0 == x)
+			if d != 0 {
 				for i, v := range col {
 					yD[i] += v * d
 				}

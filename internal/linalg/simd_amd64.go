@@ -6,9 +6,9 @@ package linalg
 // operand at the fixed 64-row stride: eight ZMM accumulators hold the
 // whole output vector, and each column contributes one broadcast plus
 // eight fused multiply-adds. Implemented in simd_amd64.s; only called
-// when detectAVX512 reported support.
+// when detectAVX512 reported support. Its pure-Go twin is
+// mulAddGeneric; FuzzMulAddInto compares the two.
 //
-//mtlint:generic mulAddGeneric tested-by FuzzMulAddInto
 //go:noescape
 func fusedTick64(m *float64, cols int, x *float64, bias *float64, y *float64)
 
@@ -25,9 +25,9 @@ func fusedTick64(m *float64, cols int, x *float64, bias *float64, y *float64)
 // sequence is still ascending column order, exactly fusedTick64's, so
 // bit-identity with the sequential kernel is preserved. The all-zero
 // padding chunk is skipped, so rows 56–63 of every y lane are
-// unspecified on return. Implemented in simd_amd64.s.
+// unspecified on return. Implemented in simd_amd64.s. Its pure-Go
+// twin is mulBatchGeneric; FuzzMulBatchInto compares the two.
 //
-//mtlint:generic mulBatchGeneric tested-by FuzzMulBatchInto
 //go:noescape
 func fusedTickBatch56x4(m *float64, cols int, x *float64, xStride int, bias *float64, y *float64, k int)
 
@@ -39,19 +39,15 @@ func fusedTickBatch56x4(m *float64, cols int, x *float64, xStride int, bias *flo
 // left unwritten, and it returns the chunk's start index and its
 // out-of-domain lane mask (bit j for lane j). Otherwise it returns n
 // and 0. Implemented in simd_amd64.s; only called when expAvailable.
+// Its pure-Go twin is expGeneric; FuzzExpInto compares the two.
 //
-//mtlint:generic expGeneric tested-by FuzzExpInto
 //go:noescape
 func expKernel(dst, x *float64, n int) (stop int, oob uint8)
 
 // cpuid executes the CPUID instruction for the given leaf/subleaf.
-//
-//mtlint:nogeneric feature-detection primitive, no arithmetic to mirror
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 
 // xgetbv reads extended control register 0 (XCR0).
-//
-//mtlint:nogeneric feature-detection primitive, no arithmetic to mirror
 func xgetbv() (eax, edx uint32)
 
 var simdAvailable = detectAVX512()

@@ -15,7 +15,6 @@
 // bit-identical.
 //
 //mtlint:deterministic
-//mtlint:units
 package sparse
 
 import (

@@ -3,8 +3,6 @@
 // ratio of work done to the work possible at full speed, with DVFS
 // contributions weighted by the dynamic frequency and overheads (PLL
 // retargeting, migration context switches) counted as non-work.
-//
-//mtlint:units
 package metrics
 
 import (
@@ -119,10 +117,8 @@ func Summarize(policy string, runs []*Run) Summary {
 // baseline summary (the paper's "relative throughput" column). The
 // result is a dimensionless BIPS/BIPS ratio, deliberately not a units
 // type.
-//
-//mtlint:allow unit relative throughput is a dimensionless ratio, not BIPS
 func (s Summary) Relative(baseline Summary) float64 {
-	if baseline.MeanBIPS == 0 { //mtlint:allow floatcmp division guard; both sides units.BIPS, an exactly zero baseline is degenerate
+	if baseline.MeanBIPS == 0 {
 		return 0
 	}
 	return float64(s.MeanBIPS / baseline.MeanBIPS)
@@ -131,8 +127,6 @@ func (s Summary) Relative(baseline Summary) float64 {
 // PerWorkloadRelative returns, per workload, this policy's BIPS over
 // the baseline's for the same workload (Figure 3's bars). Both run
 // slices must be ordered identically.
-//
-//mtlint:allow unit per-workload relative throughput is a dimensionless ratio
 func PerWorkloadRelative(policy, baseline []*Run) ([]float64, error) {
 	if len(policy) != len(baseline) {
 		return nil, fmt.Errorf("metrics: run count mismatch %d vs %d", len(policy), len(baseline))

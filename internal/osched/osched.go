@@ -37,7 +37,7 @@ type Counters struct {
 // IntIntensity returns integer register file accesses per adjusted
 // cycle — the resource-intensity proxy of §6.1.
 func (c Counters) IntIntensity() float64 {
-	if c.AdjCycles == 0 { //mtlint:allow floatcmp division guard on exactly unaccounted cores
+	if c.AdjCycles == 0 {
 		return 0
 	}
 	return c.IntRFAccess / c.AdjCycles
@@ -45,7 +45,7 @@ func (c Counters) IntIntensity() float64 {
 
 // FPIntensity returns FP register file accesses per adjusted cycle.
 func (c Counters) FPIntensity() float64 {
-	if c.AdjCycles == 0 { //mtlint:allow floatcmp division guard on exactly unaccounted cores
+	if c.AdjCycles == 0 {
 		return 0
 	}
 	return c.FPRFAccess / c.AdjCycles

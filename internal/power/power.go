@@ -6,8 +6,6 @@
 // relation P_dyn ∝ f·V² with V tracking f; that is this package's
 // default voltage curve, with an optional realistic voltage floor for
 // ablation studies.
-//
-//mtlint:units
 package power
 
 import (
@@ -27,7 +25,6 @@ type Config struct {
 	// reach; the voltage curve becomes linear from VFloor at SMin up to
 	// VMax at scale 1. If zero, voltage tracks frequency proportionally
 	// (V = VMax·s), which yields the paper's pure-cubic dynamic scaling.
-	//mtlint:allow unit volts; supply voltage is outside the modeled unit gauges
 	VFloor float64
 	// SMin is the minimum frequency scale factor (paper: 0.2).
 	SMin units.ScaleFactor
@@ -37,26 +34,23 @@ type Config struct {
 	UnitDynamic map[floorplan.UnitKind]units.Watts
 
 	// Leakage: P_leak = LeakagePerArea·area·(V/VMax)·e^{Beta·(T−T0)}.
-	//mtlint:allow unit leakage density is W/m², not plain Watts
-	LeakagePerArea float64 // at T0 and VMax
+	LeakagePerArea float64 // W/m² at T0 and VMax
 	LeakageBeta    float64 // 1/°C
 	LeakageT0      units.Celsius
 
 	// StallDynFraction is the fraction of dynamic power still burned
 	// while a core is clock-gated by stop-go (§2.3: state is maintained,
 	// "much less dynamic power is wasted" — but not zero).
-	//mtlint:allow unit dimensionless fraction of the dynamic power, not Watts
 	StallDynFraction float64
 
 	// GlobalDynamicScale multiplies every unit's dynamic power — the
 	// overall thermal-duress calibration knob. Zero means 1.0.
-	//mtlint:allow unit dimensionless calibration multiplier, not a frequency ScaleFactor
 	GlobalDynamicScale float64
 }
 
 // globalScale returns the effective global multiplier (zero value → 1).
 func (c Config) globalScale() float64 {
-	if c.GlobalDynamicScale == 0 { //mtlint:allow floatcmp exact zero is the unset-config sentinel
+	if c.GlobalDynamicScale == 0 {
 		return 1
 	}
 	return c.GlobalDynamicScale
@@ -118,8 +112,6 @@ func (c Config) Validate() error {
 }
 
 // VoltageAt returns the supply voltage at frequency scale s ∈ [SMin, 1].
-//
-//mtlint:allow unit volts; supply voltage is outside the modeled unit gauges
 func (c Config) VoltageAt(s units.ScaleFactor) float64 {
 	if s < c.SMin {
 		s = c.SMin
@@ -140,8 +132,6 @@ func (c Config) VoltageAt(s units.ScaleFactor) float64 {
 // proportional voltage curve this is exactly s³ — the cubic relation the
 // paper's migration controllers use to rescale counter and sensor data.
 // The result is a dimensionless power multiplier, not a ScaleFactor.
-//
-//mtlint:allow unit dimensionless f·V² power multiplier
 func (c Config) DynamicScale(s units.ScaleFactor) float64 {
 	v := c.VoltageAt(s) / c.VMax
 	return float64(s) * v * v
@@ -150,8 +140,6 @@ func (c Config) DynamicScale(s units.ScaleFactor) float64 {
 // LeakageScale returns the leakage multiplier at temperature tempC and
 // frequency scale s, relative to (T0, VMax). The result is a
 // dimensionless power multiplier.
-//
-//mtlint:allow unit dimensionless leakage multiplier
 func (c Config) LeakageScale(tempC units.Celsius, s units.ScaleFactor) float64 {
 	v := c.VoltageAt(s) / c.VMax
 	return v * math.Exp(c.LeakageBeta*float64(tempC-c.LeakageT0))

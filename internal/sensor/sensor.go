@@ -6,8 +6,6 @@
 // with optional quantization, offset, and deterministic noise — the
 // Banias ACPI diode of Table 1, for instance, quantizes to whole
 // degrees Celsius.
-//
-//mtlint:units
 package sensor
 
 import (

@@ -7,10 +7,10 @@ import (
 	"multitherm/internal/units"
 )
 
-// TestNoisySensorCelsiusRoundTrip checks the dimensional contract the
-// unitsafety analyzer cannot see at runtime: a noisy, offset, quantized
-// sensor takes a units.TempVec in and hands units.Celsius out, and the
-// typed value survives a round trip back into a TempVec bit-exactly.
+// TestNoisySensorCelsiusRoundTrip checks the runtime half of the
+// dimensional contract: a noisy, offset, quantized sensor takes a
+// units.TempVec in and hands units.Celsius out, and the typed value
+// survives a round trip back into a TempVec bit-exactly.
 func TestNoisySensorCelsiusRoundTrip(t *testing.T) {
 	temps := units.TempVec{71.3, 84.9, 62.0}
 	s := Sensor{

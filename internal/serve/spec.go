@@ -92,10 +92,10 @@ func (c *cell) newRunner() (*sim.Runner, error) {
 // limits, resolving the zero "inherit" sentinel.
 func (s *Server) resolveSimTime(reqSimTime, defaultSimTime float64) (float64, error) {
 	simTime := reqSimTime
-	if simTime == 0 { //mtlint:allow floatcmp zero is the explicit "inherit the default" sentinel on the wire
+	if simTime == 0 {
 		simTime = defaultSimTime
 	}
-	if simTime == 0 { //mtlint:allow floatcmp same sentinel, one level up
+	if simTime == 0 {
 		simTime = s.cfg.defaultSimTime()
 	}
 	if simTime < 0 || math.IsNaN(simTime) || math.IsInf(simTime, 0) {

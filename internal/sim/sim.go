@@ -6,7 +6,6 @@
 // thermal model, and accumulates the paper's metrics.
 //
 //mtlint:deterministic
-//mtlint:units
 package sim
 
 import (
@@ -314,7 +313,7 @@ func (r *Runner) finalizeShared(activity, shared []float64) {
 		damp = 1
 	}
 	for i, v := range shared {
-		if v == 0 { //mtlint:allow floatcmp exact zero marks untouched shared blocks
+		if v == 0 { // exact zero marks untouched shared blocks
 			continue
 		}
 		a := v / damp
@@ -490,7 +489,7 @@ func (s *tickState) pre() error {
 			m.StallSeconds += dt
 			s.coreStates[c] = power.CoreState{Scale: 1, Stalled: true}
 		} else {
-			if cmd.Scale != r.prevScale[c] { //mtlint:allow floatcmp PLL retarget fires only on an exact setpoint change; both sides units.ScaleFactor, same dimension
+			if cmd.Scale != r.prevScale[c] {
 				// PLL/voltage retarget cost (10 µs, Table 3).
 				avail -= cfg.Policy.TransitionPenalty
 				if avail < 0 {

@@ -186,8 +186,6 @@ func (d *Discretization) SIMDAccelerated() bool {
 // Phi returns Φ[i][j], the exact dt-step response of node i to a unit
 // initial temperature on node j. Exposed for validation tests; only
 // the dense representation materializes Φ.
-//
-//mtlint:allow unit propagator entries are dimensionless °C-per-°C responses
 func (d *Discretization) Phi(i, j int) float64 { return d.phi.At(i, j) }
 
 // PreferExact reports whether the exact discretized step is expected to

@@ -15,7 +15,6 @@
 // once per configuration instead of once per run.
 //
 //mtlint:deterministic
-//mtlint:units
 package thermal
 
 import (
@@ -60,7 +59,6 @@ type Params struct {
 	SinkMassFactor float64
 
 	// Convection from sink to ambient (fan + fins), total for the sink.
-	//mtlint:allow unit thermal resistance is K/W, not one of the scalar gauges
 	ConvectionResistance float64 // K/W
 	Ambient              units.Celsius
 }
@@ -559,9 +557,7 @@ func (m *Model) SetUniform(t units.Celsius) {
 	}
 }
 
-// TotalCapacitance returns Σ C_i, used by energy-conservation tests.
-//
-//mtlint:allow unit thermal capacitance is J/K, not plain Joules
+// TotalCapacitance returns Σ C_i in J/K, used by energy-conservation tests.
 func (t *Template) TotalCapacitance() float64 {
 	var s float64
 	for _, c := range t.cap {

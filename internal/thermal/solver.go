@@ -37,7 +37,7 @@ func (t *Template) computeMaxStableStep() float64 {
 			maxRate = r
 		}
 	}
-	if maxRate == 0 { //mtlint:allow floatcmp exact zero rate means an unconnected network
+	if maxRate == 0 { // exact zero rate means an unconnected network
 		return math.Inf(1)
 	}
 	return 1.39 / maxRate
@@ -60,7 +60,7 @@ func (m *Model) Step(dt units.Seconds) {
 	if h <= 0 {
 		badStepSize(h)
 	}
-	if b := m.exact; b != nil && b.d.dt == h { //mtlint:allow floatcmp the exact path is armed for bit-exactly this dt (both sides the same raw seconds value)
+	if b := m.exact; b != nil && b.d.dt == h { // the exact path is armed for bit-exactly this dt
 		b.Step()
 		return
 	}

@@ -1,11 +1,7 @@
 package trace
 
 import (
-	"bytes"
-	"encoding/binary"
-	"fmt"
 	"math"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -184,85 +180,6 @@ func TestCursorConservationProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestBinaryRoundTrip(t *testing.T) {
-	tr := testTrace(t, 64)
-	var buf bytes.Buffer
-	if err := tr.WriteBinary(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Benchmark != tr.Benchmark || got.SampleSeconds != tr.SampleSeconds {
-		t.Error("header mismatch after round trip")
-	}
-	if len(got.Samples) != len(tr.Samples) {
-		t.Fatalf("sample count %d, want %d", len(got.Samples), len(tr.Samples))
-	}
-	for i := range tr.Samples {
-		if got.Samples[i] != tr.Samples[i] {
-			t.Fatalf("sample %d differs", i)
-		}
-	}
-}
-
-func TestBinaryRejectsGarbage(t *testing.T) {
-	if _, err := ReadBinary(strings.NewReader("not a trace at all")); err == nil {
-		t.Error("garbage accepted")
-	}
-	if _, err := ReadBinary(strings.NewReader("")); err == nil {
-		t.Error("empty input accepted")
-	}
-	// Truncated valid prefix.
-	tr := testTrace(t, 8)
-	var buf bytes.Buffer
-	if err := tr.WriteBinary(&buf); err != nil {
-		t.Fatal(err)
-	}
-	trunc := buf.Bytes()[:buf.Len()/2]
-	if _, err := ReadBinary(bytes.NewReader(trunc)); err == nil {
-		t.Error("truncated trace accepted")
-	}
-	// A well-formed header whose sample count is one past the decoder
-	// cap must be refused before the count sizes anything.
-	var hdr bytes.Buffer
-	hdr.WriteString(binaryMagic)
-	for _, v := range []any{uint32(binaryVersion), uint32(0), math.Float64bits(1e-5), uint32(maxDecodedSamples + 1)} {
-		if err := binary.Write(&hdr, binary.LittleEndian, v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want := fmt.Sprintf("implausible sample count %d", maxDecodedSamples+1)
-	if _, err := ReadBinary(&hdr); err == nil || !strings.Contains(err.Error(), want) {
-		t.Errorf("over-cap sample count: got %v, want an error naming %q", err, want)
-	}
-}
-
-func TestJSONRoundTrip(t *testing.T) {
-	tr := testTrace(t, 16)
-	var buf bytes.Buffer
-	if err := tr.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range tr.Samples {
-		if got.Samples[i] != tr.Samples[i] {
-			t.Fatalf("sample %d differs", i)
-		}
-	}
-}
-
-func TestJSONRejectsWrongActivityCount(t *testing.T) {
-	in := `{"benchmark":"x","sample_seconds":1e-5,"samples":[{"instructions":1,"activity":[0.5]}],"version":1}`
-	if _, err := ReadJSON(strings.NewReader(in)); err == nil {
-		t.Error("wrong activity arity accepted")
 	}
 }
 

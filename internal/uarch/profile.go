@@ -107,7 +107,7 @@ func (p Profile) Validate() error {
 
 // powerFactor returns the effective switching factor (zero value → 1).
 func (p Profile) powerFactor() float64 {
-	if p.PowerFactor == 0 { //mtlint:allow floatcmp exact zero is the unset-profile sentinel
+	if p.PowerFactor == 0 {
 		return 1
 	}
 	return p.PowerFactor

@@ -11,12 +11,11 @@
 // The slice views TempVec and PowerVec deliberately keep float64
 // elements: indexing tv[i] yields a plain float64, so inner loops are
 // byte-for-byte the code they were before. The typed boundary is the
-// slice header, not the element. Raw() is the audited escape hatch for
-// handing the backing storage to the unit-agnostic linalg kernels; the
-// unitsafety analyzer verifies every Raw() call site sits inside a
-// //mtlint:zeroalloc or //mtlint:unitboundary function.
-//
-//mtlint:units
+// slice header, not the element. Raw() is the escape hatch for handing
+// the backing storage to the unit-agnostic linalg kernels. One hole is
+// a language rule: []float64 is an unnamed type, so a raw slice assigns
+// to TempVec or PowerVec (and back) without a conversion; the types
+// keep only the typed APIs apart.
 package units
 
 // Seconds is a duration or instant on the simulation clock.
@@ -42,17 +41,14 @@ type BIPS float64
 // TempVec is a vector of block or node temperatures in °C. It is a
 // defined type over []float64: elements are plain float64 so hot loops
 // index it without conversions, but the slice itself cannot be confused
-// with a PowerVec (or any raw []float64 API) without an explicit
-// conversion that unitsafety audits.
+// with a PowerVec without an explicit conversion.
 type TempVec []float64
 
 // MakeTempVec allocates an n-element temperature vector.
 func MakeTempVec(n int) TempVec { return make(TempVec, n) }
 
 // Raw exposes the backing storage for unit-agnostic kernels (linalg
-// GEMV/GEMM, escape-free solver internals). Call sites are restricted
-// by the unitsafety analyzer to //mtlint:zeroalloc or
-// //mtlint:unitboundary functions.
+// GEMV/GEMM, escape-free solver internals).
 func (v TempVec) Raw() []float64 { return v }
 
 // Len returns the number of elements.
@@ -86,8 +82,8 @@ type PowerVec []float64
 // MakePowerVec allocates an n-element power vector.
 func MakePowerVec(n int) PowerVec { return make(PowerVec, n) }
 
-// Raw exposes the backing storage for unit-agnostic kernels; the same
-// unitsafety audit as TempVec.Raw applies.
+// Raw exposes the backing storage for unit-agnostic kernels, as
+// TempVec.Raw does.
 func (v PowerVec) Raw() []float64 { return v }
 
 // Len returns the number of elements.
