@@ -37,7 +37,7 @@ func main() {
 	quick := flag.Bool("quick", false, "reduced-fidelity simulations")
 	list := flag.Bool("list", false, "list reproducible artifacts and exit")
 	simtime := flag.Float64("simtime", 0, "simulated silicon time per run in seconds (default 0.5)")
-	workersFlag := flag.Int("workers", 0, "worker count for the cell scheduler (0 = all CPUs, 1 = sequential; results identical at any count)")
+	workersFlag := flag.Int("workers", 0, "worker count for the simulation cells and Table 1's ranging rows (0 = all CPUs, 1 = sequential; results identical at any count)")
 	ablations := flag.Bool("ablations", false, "also run the beyond-the-paper extension/ablation artifacts")
 	gridFlag := flag.String("floorplan", "", "generated grid for the manycore artifact, as RxC (e.g. 16x16 for 256 cores)")
 	mdPath := flag.String("md", "", "also write the report as markdown to this file")

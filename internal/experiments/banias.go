@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 
 	"multitherm/internal/floorplan"
+	"multitherm/internal/parallel"
 	"multitherm/internal/power"
 	"multitherm/internal/sensor"
 	"multitherm/internal/thermal"
@@ -212,24 +214,51 @@ func RunTable1(o Options) (*Table1Result, error) {
 			PaperC:    row.TempC,
 		})
 	}
-	for _, row := range workload.Table1Ranging {
-		min, max, err := rig.rangeOf(model, calc, row.Name)
-		if err != nil {
-			return nil, err
-		}
-		out.Ranging = append(out.Ranging, Table1Range{
-			Name:     row.Name,
-			Category: workload.MustProfile(row.Name).Category.String(),
-			MinC:     min, MaxC: max,
-			PaperMin: row.Min, PaperMax: row.Max,
+	// The ranging rows are independent walks, so they run on the worker
+	// pool. Each walks its own model, because an armed model's exact-step
+	// panels are mutable; calc and the diode are only read. Every walk
+	// starts from InitSteadyState, so no state carries between rows and
+	// a fresh model on the calibrated (memoized) template serves as well
+	// as the calibrated model itself.
+	ranging := workload.Table1Ranging
+	out.Ranging = make([]Table1Range, len(ranging))
+	err = parallel.ForEach(context.Background(), o.Parallelism, len(ranging),
+		func(_ context.Context, i int) error {
+			row := ranging[i]
+			m, err := thermal.New(rig.fp, rig.tp)
+			if err != nil {
+				return err
+			}
+			if m.PreferExact(rangeStep) {
+				if err := m.UseExact(rangeStep); err != nil {
+					return err
+				}
+			}
+			min, max, err := rig.rangeOf(m, calc, row.Name)
+			if err != nil {
+				return err
+			}
+			out.Ranging[i] = Table1Range{
+				Name:     row.Name,
+				Category: workload.MustProfile(row.Name).Category.String(),
+				MinC:     min, MaxC: max,
+				PaperMin: row.Min, PaperMax: row.Max,
+			}
+			return nil
 		})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
+// rangeStep is the quasi-static step of a ranging row's phase walk.
+const rangeStep = 10e-3
+
 // rangeOf simulates a phase-structured benchmark through its phases and
 // returns the min/max diode readings observed, mirroring the paper's
-// repeated ACPI polling.
+// repeated ACPI polling. It steps m as given: armed with UseExact at
+// rangeStep, each step is the exact ZOH update, otherwise RK4.
 func (b *baniasRig) rangeOf(m *thermal.Model, calc *power.Calculator, name string) (float64, float64, error) {
 	prof, err := workload.Profile(name)
 	if err != nil {
@@ -258,13 +287,12 @@ func (b *baniasRig) rangeOf(m *thermal.Model, calc *power.Calculator, name strin
 
 	// Walk the phase structure quasi-statically: 10 ms steps over two
 	// full phase periods, polling the diode four times a second.
-	const dt = 10e-3
 	total := 2 * prof.PhasePeriod
-	steps := int(total / dt)
+	steps := int(total / rangeStep)
 	act := make([]float64, len(b.fp.Blocks))
 	min, max := math.Inf(1), math.Inf(-1)
-	intervalPerStep := dt / b.uc.SampleSeconds()
-	pollEvery := int(0.25 / dt)
+	intervalPerStep := rangeStep / b.uc.SampleSeconds()
+	pollEvery := int(0.25 / rangeStep)
 	for i := 0; i < steps; i++ {
 		s := gen.Sample(int64(float64(i) * intervalPerStep))
 		for j, blk := range b.fp.Blocks {
@@ -272,7 +300,7 @@ func (b *baniasRig) rangeOf(m *thermal.Model, calc *power.Calculator, name strin
 		}
 		calc.BlockPower(p, act, cores, m.BlockTemps(temps))
 		m.SetPower(p)
-		m.Step(dt)
+		m.Step(rangeStep)
 		if i%pollEvery == 0 && i > steps/8 {
 			v := float64(b.diode.Sensors[0].Read(m.BlockTemps(temps), int64(i)))
 			min = math.Min(min, v)

@@ -14,6 +14,8 @@ import (
 // (hetero), and time-shared lanes on the sparse 4x4 grid (manycore).
 // Three mixes make the 10-wide batches of a one-worker run straddle
 // the variant boundary, so those batches hold lanes of both configs.
+// table1 runs no grid: its four ranging rows go onto the pool as
+// separate models sharing the calibrated calculator and diode.
 var determinismCases = []struct {
 	name string
 	opt  Options
@@ -53,6 +55,10 @@ var determinismCases = []struct {
 		name: "manycore",
 		opt:  Options{SimTime: 0.01},
 		run:  func(o Options) (Result, error) { return RunManycore(o) },
+	},
+	{
+		name: "table1",
+		run:  func(o Options) (Result, error) { return RunTable1(o) },
 	},
 }
 

@@ -32,11 +32,12 @@ type Options struct {
 	// Workloads restricts the workload set (nil = all 12).
 	Workloads []workload.Mix
 	// Parallelism bounds the worker pool (parallel.ForEach) that fans
-	// independent grid cells out across CPUs: 0 uses GOMAXPROCS, 1 runs
-	// every batch on one worker in cut order.
+	// independent grid cells, and Table 1's ranging rows, out across
+	// CPUs: 0 uses GOMAXPROCS, 1 runs every batch and row on one worker
+	// in order.
 	// Results are deterministic — identical at any parallelism level —
-	// because every cell is independent and results are slotted by
-	// index, not arrival order.
+	// because every cell and row is independent and results are slotted
+	// by index, not arrival order.
 	Parallelism int
 	// Grid selects the generated floorplan the many-core extension
 	// runs on (cmd/sweep -floorplan). The zero value picks the

@@ -61,9 +61,13 @@ type Process struct {
 	Lifetime Counters
 	Window   Counters
 
-	// WindowDecay in [0,1) is applied to the window at each account
-	// step scaled by elapsed time; see Account.
+	// windowHalflife is the window's decay half-life in seconds (0
+	// keeps no decay): Account scales the window by 2^(−dt/halflife).
 	windowHalflife float64
+	// decayDt and decay cache the last Account call's factor, since dt
+	// is the fixed control period. A zero decay marks the cache empty,
+	// so a fresh process computes even dt = 0 (factor 1) afresh.
+	decayDt, decay float64
 }
 
 // Account records counter deltas for an execution slice of wall-clock
@@ -76,7 +80,10 @@ func (p *Process) Account(dt float64, d Counters) {
 	p.Lifetime.FPRFAccess += d.FPRFAccess
 
 	if p.windowHalflife > 0 {
-		decay := halflifeDecay(dt, p.windowHalflife)
+		if p.decay == 0 || dt != p.decayDt {
+			p.decayDt, p.decay = dt, halflifeDecay(dt, p.windowHalflife)
+		}
+		decay := p.decay
 		p.Window.AdjCycles *= decay
 		p.Window.Instructions *= decay
 		p.Window.IntRFAccess *= decay

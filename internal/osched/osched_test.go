@@ -180,6 +180,41 @@ func TestAccountWindowDecays(t *testing.T) {
 	}
 }
 
+// TestAccountCachedDecayIsExact pins Account's cached window decay to
+// the factor computed afresh on every call: a changed dt must refresh
+// the cache, and dt = 0 on a fresh process must decay by Exp2(0) = 1
+// rather than read the empty cache. The window starts non-zero, so
+// that first decay shows.
+func TestAccountCachedDecayIsExact(t *testing.T) {
+	p := fourProc().Process(0)
+	p.Window = Counters{AdjCycles: 400, Instructions: 500, IntRFAccess: 300, FPRFAccess: 20}
+	want := p.Window
+	d := Counters{AdjCycles: 100, Instructions: 130, IntRFAccess: 70, FPRFAccess: 10}
+	for i, dt := range []float64{0, 1e-3, 1e-3, 2.5e-3, 0, 1e-3} {
+		p.Account(dt, d)
+		decay := math.Exp2(-dt / p.windowHalflife)
+		want.AdjCycles *= decay
+		want.Instructions *= decay
+		want.IntRFAccess *= decay
+		want.FPRFAccess *= decay
+		want.AdjCycles += d.AdjCycles
+		want.Instructions += d.Instructions
+		want.IntRFAccess += d.IntRFAccess
+		want.FPRFAccess += d.FPRFAccess
+		got := []float64{p.Window.AdjCycles, p.Window.Instructions, p.Window.IntRFAccess, p.Window.FPRFAccess}
+		ref := []float64{want.AdjCycles, want.Instructions, want.IntRFAccess, want.FPRFAccess}
+		for k := range got {
+			if math.Float64bits(got[k]) != math.Float64bits(ref[k]) {
+				t.Fatalf("call %d (dt=%g): window field %d = %v, direct decay gives %v", i, dt, k, got[k], ref[k])
+			}
+		}
+		// Keep the counts apart call to call, so a skipped or stale
+		// decay shows in every field.
+		d.AdjCycles++
+		d.Instructions += 3
+	}
+}
+
 func TestAssignmentCopyIsolated(t *testing.T) {
 	s := fourProc()
 	a := s.Assignment()

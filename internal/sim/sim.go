@@ -312,8 +312,9 @@ func (r *Runner) finalizeShared(activity, shared []float64) {
 	if damp < 1 {
 		damp = 1
 	}
-	for i, v := range shared {
-		if v == 0 { // exact zero marks untouched shared blocks
+	for _, i := range r.sharedBlocks {
+		v := shared[i]
+		if v == 0 { // no core issued traffic: the block keeps its activity
 			continue
 		}
 		a := v / damp
