@@ -107,13 +107,15 @@ func benchThermalStepBatch(b *testing.B, k int) {
 func BenchmarkThermalStepBatch8(b *testing.B)  { benchThermalStepBatch(b, 8) }
 func BenchmarkThermalStepBatch32(b *testing.B) { benchThermalStepBatch(b, 32) }
 
-// benchGridStep measures one exact tick on a generated Rows x Cols
-// grid in the simulator's calling pattern (SetPower every tick). The
-// 2x2 grid (26 nodes) runs the dense packed path; 4x4, 8x8, and 16x16
+// benchGridStep measures one exact lockstep tick of k lanes on a
+// generated Rows x Cols grid in the simulator's calling pattern (every
+// lane's power set every tick, then one batch step). The 2x2 grid (26
+// nodes) runs the dense packed path; 4x4, 8x8, and 16x16
 // (74/266/1034 nodes) run the sparse Krylov path. Across the four
-// sizes ns/op tests the scaling claim that per-step cost tracks
-// nonzeros, not N².
-func benchGridStep(b *testing.B, rows, cols int) {
+// one-lane sizes ns/op tests the scaling claim that per-step cost
+// tracks nonzeros, not N²; with k > 1 the ns/lane metric compares a
+// batch with the one-lane step.
+func benchGridStep(b *testing.B, rows, cols, k int) {
 	fp, err := floorplan.Grid(floorplan.GridSpec{
 		Rows: rows, Cols: cols,
 		Pattern: floorplan.PatternMixedRows,
@@ -122,28 +124,46 @@ func benchGridStep(b *testing.B, rows, cols int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	m, err := thermal.New(fp, thermal.FitParams(fp))
+	models := make([]*thermal.Model, k)
+	powers := make([]units.PowerVec, k)
+	for l := range models {
+		m, err := thermal.New(fp, thermal.FitParams(fp))
+		if err != nil {
+			b.Fatal(err)
+		}
+		p := make(units.PowerVec, m.NumBlocks())
+		for i := range p {
+			p[i] = 1.0 + 0.1*float64((i+l)%5)
+		}
+		models[l] = m
+		powers[l] = p
+	}
+	batch, err := thermal.NewBatch(models, control.PaperSamplePeriod)
 	if err != nil {
-		b.Fatal(err)
-	}
-	p := make(units.PowerVec, m.NumBlocks())
-	for i := range p {
-		p[i] = 1.0 + 0.1*float64(i%5)
-	}
-	if err := m.UseExact(control.PaperSamplePeriod); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.SetPower(p)
-		m.Step(control.PaperSamplePeriod)
+		for l, m := range models {
+			m.SetPower(powers[l])
+		}
+		batch.Step()
+	}
+	if k > 1 {
+		b.StopTimer()
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*k), "ns/lane")
 	}
 }
 
-func BenchmarkGridStepN4(b *testing.B)   { benchGridStep(b, 2, 2) }
-func BenchmarkGridStepN16(b *testing.B)  { benchGridStep(b, 4, 4) }
-func BenchmarkGridStepN64(b *testing.B)  { benchGridStep(b, 8, 8) }
-func BenchmarkGridStepN256(b *testing.B) { benchGridStep(b, 16, 16) }
+func BenchmarkGridStepN4(b *testing.B)   { benchGridStep(b, 2, 2, 1) }
+func BenchmarkGridStepN16(b *testing.B)  { benchGridStep(b, 4, 4, 1) }
+func BenchmarkGridStepN64(b *testing.B)  { benchGridStep(b, 8, 8, 1) }
+func BenchmarkGridStepN256(b *testing.B) { benchGridStep(b, 16, 16, 1) }
+
+// BenchmarkGridStepN256Batch2 is the lane shape of the manycore
+// artifact's critical path on two workers: its three 16x16 cells are
+// cut into lockstep batches of two lanes and one.
+func BenchmarkGridStepN256Batch2(b *testing.B) { benchGridStep(b, 16, 16, 2) }
 
 // BenchmarkThermalStepFlat isolates the flattened-CSR RK4 kernel at its
 // raw stability-bound step (no substep loop), so improvements to the

@@ -8,14 +8,15 @@ import (
 	"multitherm/internal/linalg"
 )
 
-// FuzzSpMV is the differential target for the CSR kernels against the
-// dense packed kernel in internal/linalg: a seeded PRNG expands
-// (seed, rows, cols, fill) into a matrix realized both ways, and the
-// sparse MulAddInto must agree with Packed.MulAddInto to a rounding
-// tolerance (the two kernels accumulate in different orders: CSR walks
-// each row's nonzeros, Packed fans out columns). The batch kernel is
-// then checked bit-identical to the single-vector kernel, which is an
-// exact contract, not a tolerance.
+// FuzzSpMV is the differential target for the sparse mat-vec kernels.
+// A seeded PRNG expands (seed, rows, cols, fill) into a matrix realized
+// both as a CSR and densely, and MulVecInto must agree with the dense
+// Packed.MulAddInto (zero bias) to a rounding tolerance: the two
+// accumulate in different orders (CSR walks each row's nonzeros,
+// Packed fans out columns). The propagator's row-group kernel is then
+// checked bit-identical to MulVecInto, an exact contract, on a second
+// matrix shaped by groupedCSR to hold empty rows, leftover rows and
+// one row far longer than the rest.
 func FuzzSpMV(f *testing.F) {
 	f.Add(int64(1), uint8(4), uint8(4), uint8(128))
 	f.Add(int64(2), uint8(1), uint8(7), uint8(30))
@@ -26,31 +27,16 @@ func FuzzSpMV(f *testing.F) {
 		cols := 1 + int(c8)%48
 		fill := float64(fill8) / 255
 		rng := rand.New(rand.NewSource(seed))
-		b := NewBuilder(rows, cols)
-		d := linalg.NewMatrix(rows, cols)
-		for i := 0; i < rows; i++ {
-			for j := 0; j < cols; j++ {
-				if rng.Float64() < fill {
-					v := rng.NormFloat64()
-					b.Add(i, j, v)
-					d.Set(i, j, v)
-				}
-			}
-		}
-		a := b.Build()
+		a, d := randCSR(rng, rows, cols, fill)
 		p := linalg.Pack(d)
 		x := make([]float64, cols)
 		for i := range x {
 			x[i] = rng.NormFloat64()
 		}
-		bias := make([]float64, p.Stride())
-		for i := 0; i < rows; i++ {
-			bias[i] = rng.NormFloat64()
-		}
 		ySparse := make([]float64, rows)
-		a.MulAddInto(ySparse, bias, x)
+		a.MulVecInto(ySparse, x)
 		yDense := make([]float64, p.Stride())
-		p.MulAddInto(yDense, bias, x)
+		p.MulAddInto(yDense, make([]float64, p.Stride()), x)
 		for i := 0; i < rows; i++ {
 			// Scale-aware tolerance: both kernels round once per
 			// product, so disagreement is bounded by the absolute
@@ -59,32 +45,11 @@ func FuzzSpMV(f *testing.F) {
 			for j := 0; j < cols; j++ {
 				mass += math.Abs(d.At(i, j) * x[j])
 			}
-			mass += math.Abs(bias[i])
 			if diff := math.Abs(ySparse[i] - yDense[i]); diff > 1e-12*(1+mass) {
 				t.Fatalf("row %d: sparse %.17g dense %.17g (mass %g)", i, ySparse[i], yDense[i], mass)
 			}
 		}
-		// Batch kernel vs single-vector kernel: exact.
-		k := 1 + int(seed&3)
-		xb := make([]float64, k*cols)
-		bb := make([]float64, k*rows)
-		for i := range xb {
-			xb[i] = rng.NormFloat64()
-		}
-		for i := range bb {
-			bb[i] = rng.NormFloat64()
-		}
-		yb := make([]float64, k*rows)
-		a.MulBatchInto(yb, bb, k, xb, cols, rows)
-		yl := make([]float64, rows)
-		for l := 0; l < k; l++ {
-			a.MulAddInto(yl, bb[l*rows:(l+1)*rows], xb[l*cols:(l+1)*cols])
-			for i := 0; i < rows; i++ {
-				if math.Float64bits(yb[l*rows+i]) != math.Float64bits(yl[i]) {
-					t.Fatalf("batch lane %d row %d: %x vs %x", l, i,
-						math.Float64bits(yb[l*rows+i]), math.Float64bits(yl[i]))
-				}
-			}
-		}
+		// Row-group kernel vs MulVecInto: exact.
+		checkRowGroups(t, groupedCSR(rng, 4+rows, 4*cols), rng)
 	})
 }

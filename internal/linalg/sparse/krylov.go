@@ -31,10 +31,9 @@ import (
 // little accuracy headroom but buys the two properties the simulator
 // is built around: steps are bit-reproducible (the arithmetic sequence
 // depends only on the inputs, never on convergence history) and
-// batched lanes stay in lockstep (all lanes share one schedule, so the
-// SpMM fan-out never diverges).
+// batched lanes stay in lockstep (all lanes share one schedule).
 type Propagator struct {
-	a    *CSR // the generator scaled by tau, so one Arnoldi pass spans one substep
+	a    *rowGroups // the generator scaled by tau, so one Arnoldi pass spans one substep
 	n    int
 	tau  float64
 	m    int
@@ -49,9 +48,9 @@ const mCap = 48
 // breakdownTiny is the happy-breakdown threshold on the next-basis
 // norm h_{j+1,j}: below it the Krylov space is (numerically) invariant
 // and the remaining basis vectors are set to zero rather than divided
-// into noise. Zero columns propagate zeros through the SpMM and the
-// small exponential, so sequential and batched runs agree bitwise even
-// through a breakdown.
+// into noise. Zero columns propagate zeros through the mat-vecs and
+// the small exponential, so sequential and batched runs agree bitwise
+// even through a breakdown.
 const breakdownTiny = 1e-290
 
 // NewPropagator builds a fixed-schedule propagator for the generator a
@@ -81,7 +80,7 @@ func NewPropagator(a *CSR, stepSize, tol float64, probeX, probeC []float64) (*Pr
 	nsub := 1 + int(norm/2.0)
 	for attempt := 0; attempt < 6; attempt++ {
 		tau := stepSize / float64(nsub)
-		p := &Propagator{a: a.Scaled(tau), n: n, tau: tau, nsub: nsub}
+		p := &Propagator{a: newRowGroups(a.Scaled(tau)), n: n, tau: tau, nsub: nsub}
 		if m, ok := p.calibrate(tol, probeX, probeC); ok {
 			p.m = m
 			return p, nil
@@ -175,11 +174,10 @@ func newWorkspace(m, n, k int) *Workspace {
 // z[l*(n+1):(l+1)*(n+1)] (with z[l*(n+1)+n] == 1) is replaced by its
 // state one full step later under x' = A·x + c, where its constant
 // term c[l*n:(l+1)*n] is scaled to one substep τ. All lanes share the
-// generator, so the m sparse mat-vecs per substep run as one batched
-// SpMM; every per-lane arithmetic sequence (accumulation order in the
-// SpMM, the MGS orthogonalization, the basis combination) is identical
-// to the k = 1 path, so batched stepping is bit-identical to
-// sequential stepping.
+// generator and the (m, nsub) schedule and step one at a time through
+// it; no lane's arithmetic (the mat-vecs, the MGS orthogonalization,
+// the basis combination) reads another lane, so batched stepping is
+// bit-identical to sequential stepping.
 //
 //mtlint:zeroalloc
 func (p *Propagator) AdvanceBatch(ws *Workspace, z, c []float64, k int) {
@@ -212,57 +210,88 @@ func (p *Propagator) arnoldi(ws *Workspace, z, c []float64, k, m int) float64 {
 		b := nrm2(zl)
 		ws.beta[l] = b
 		inv := 1 / b // β >= 1 always: the augmented entry is pinned to 1
-		v0 := ws.V[l*n1 : l*n1+n1]
+		v0 := lane(ws, 0, l)
 		for i, zv := range zl {
 			v0[i] = zv * inv
 		}
-	}
-	for j := 0; j < m; j++ {
-		vj := ws.V[j*ws.k*n1:]
-		w := ws.V[(j+1)*ws.k*n1:]
-		// Top block of the augmented operator: w = (A·τ)·v across all
-		// lanes in one SpMM. The augmented column then adds v[n]·τ·c
-		// per lane, and the augmented row is zero.
-		p.a.MulBatchInto(w, nil, k, vj, n1, n1)
-		for l := 0; l < k; l++ {
-			wl := w[l*n1 : l*n1+n1]
-			zn := vj[l*n1+p.n]
-			cl := c[l*p.n : l*p.n+p.n]
-			for i, cv := range cl {
-				wl[i] += zn * cv
-			}
-			wl[p.n] = 0
-		}
-		// Modified Gram-Schmidt per lane, identical order at any k.
-		for l := 0; l < k; l++ {
-			wl := w[l*n1 : l*n1+n1]
-			Hl := ws.H[l*hm*hm:]
+		cl := c[l*p.n : l*p.n+p.n]
+		Hl := ws.H[l*hm*hm:]
+		for j := 0; j < m; j++ {
+			vj := lane(ws, j, l)
+			w := lane(ws, j+1, l)
+			// Top block of the augmented operator: w = (A·τ)·v. The
+			// augmented column then adds v[n]·τ·c, the augmented row
+			// is zero, and the first projection's dot rides along.
+			p.a.mulInto(w, vj)
+			h := addDot(w, cl, vj[p.n], v0)
+			// Modified Gram-Schmidt, each projection's axpy fused with
+			// the next projection's dot, and the last with the norm.
 			for i := 0; i <= j; i++ {
-				vi := ws.V[i*ws.k*n1+l*n1:]
-				vi = vi[:n1]
-				hij := dot(vi, wl)
-				for t, vv := range vi {
-					wl[t] -= hij * vv
+				Hl[i*hm+j] = h
+				next := w
+				if i < j {
+					next = lane(ws, i+1, l)
 				}
-				Hl[i*hm+j] = hij
+				h = subDot(w, lane(ws, i, l), h, next)
 			}
-			hn := nrm2(wl)
+			hn := math.Sqrt(h)
 			if hn > breakdownTiny {
 				Hl[(j+1)*hm+j] = hn
 				inv := 1 / hn
-				for t := range wl {
-					wl[t] *= inv
+				for t := range w {
+					w[t] *= inv
 				}
 			} else {
 				// Happy breakdown: the space is invariant; keep the
 				// zero vector so later columns stay exactly zero.
-				for t := range wl {
-					wl[t] = 0
+				for t := range w {
+					w[t] = 0
 				}
 			}
 		}
 	}
 	return ws.beta[0]
+}
+
+// lane returns basis vector j of lane l.
+func lane(ws *Workspace, j, l int) []float64 {
+	n1 := ws.n + 1
+	off := (j*ws.k + l) * n1
+	return ws.V[off : off+n1 : off+n1]
+}
+
+// addDot adds s·c to the top block of the augmented vector w, zeroes
+// its augmented entry, and returns v·w over the updated w. Each w[t]
+// gets the add before its product joins the sum, and the sum runs in
+// ascending t, so the result equals the add pass followed by dot(v, w).
+//
+//mtlint:zeroalloc
+func addDot(w, c []float64, s float64, v []float64) float64 {
+	n := len(c)
+	w, v = w[:n+1], v[:n+1]
+	var d float64
+	for t, ct := range c {
+		w[t] += s * ct
+		d += v[t] * w[t]
+	}
+	w[n] = 0
+	d += v[n] * w[n]
+	return d
+}
+
+// subDot subtracts h·v from w and returns u·w over the updated w; u
+// may be w itself, which makes the result ||w||². As in addDot, the
+// result equals the axpy pass followed by dot(u, w), bit for bit.
+//
+//mtlint:zeroalloc
+func subDot(w, v []float64, h float64, u []float64) float64 {
+	v, u = v[:len(w)], u[:len(w)]
+	var d float64
+	for t := range w {
+		w[t] -= h * v[t]
+		d += u[t] * w[t]
+	}
+	return d
 }
 
 // combine forms z ← β·V·(e^{H} e₁) per lane and re-pins the augmented
@@ -286,9 +315,7 @@ func (p *Propagator) combine(ws *Workspace, z []float64, k int) {
 		}
 		for j := 0; j < m; j++ {
 			fj := ws.F[j*m] * ws.beta[l]
-			vj := ws.V[j*ws.k*n1+l*n1:]
-			vj = vj[:n1]
-			for i, vv := range vj {
+			for i, vv := range lane(ws, j, l) {
 				zl[i] += fj * vv
 			}
 		}
@@ -306,7 +333,7 @@ func badAdvanceArgs(wsM, wsN, wsK, pm, pn, k, lz, lc int) {
 // scaling-and-squaring over a truncated Taylor series, entirely on the
 // workspace buffers. The iteration counts depend only on the input
 // values, so the routine is deterministic; m is Krylov-sized (<= 48),
-// so the O(m³) multiplies are noise next to the SpMM work.
+// so the O(m³) multiplies are noise next to the mat-vec work.
 //
 //mtlint:zeroalloc
 func expmSmall(ws *Workspace, m int) {

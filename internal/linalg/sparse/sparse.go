@@ -1,17 +1,16 @@
 // Package sparse provides compressed-sparse-row matrices with
-// zero-allocation SpMV/SpMM kernels mirroring the packed dense API in
-// internal/linalg, a Jacobi-preconditioned conjugate-gradient solver,
-// and a Krylov (Arnoldi) matrix-exponential action. Together these let
-// the thermal model's exact-ZOH step cost scale with the nonzero count
-// of the RC conduction network instead of N², which is what makes
-// 256-1024-node generated floorplans tractable.
+// zero-allocation mat-vec kernels, a Jacobi-preconditioned
+// conjugate-gradient solver, and a Krylov (Arnoldi) matrix-exponential
+// action. Together these let the thermal model's exact-ZOH step cost
+// scale with the nonzero count of the RC conduction network instead of
+// N², which is what makes 256-1024-node generated floorplans tractable.
 //
 // Like internal/linalg, this package is deliberately unit-agnostic: it
 // operates on raw float64 slices and the callers own the unit
 // discipline at the boundary. The kernels are deterministic by
 // construction — fixed iteration orders, no maps, no wall-clock — and
-// every per-lane arithmetic sequence in the batch kernels is identical
-// to the single-vector kernels, so batched and sequential stepping are
+// a lane's arithmetic sequence in the batched Krylov step does not
+// depend on the lane count, so batched and sequential stepping are
 // bit-identical.
 //
 //mtlint:deterministic
@@ -149,8 +148,9 @@ func (b *Builder) Build() *CSR {
 
 // MulVecInto computes y = A·x. len(y) >= rows and len(x) >= cols.
 // The per-row accumulation order is the stored (ascending column)
-// order; MulBatchInto uses the identical order per lane, which is the
-// bit-identity contract the batched thermal stepper relies on.
+// order, starting from +0; the propagator's row-group kernel keeps
+// that order per row, so it is bit-identical to this one, which stays
+// as CG's mat-vec and the tests' reference.
 //
 //mtlint:zeroalloc
 func (a *CSR) MulVecInto(y, x []float64) {
@@ -167,82 +167,112 @@ func (a *CSR) MulVecInto(y, x []float64) {
 	}
 }
 
-// MulAddInto computes y = bias + A·x, the sparse analogue of
-// Packed.MulAddInto. bias may alias y.
+// groupWidth is how many equal-length rows the row-group kernel sums
+// side by side; mulInto spells out that many accumulators.
+const groupWidth = 4
+
+// rowGroups is the Krylov propagator's mat-vec layout of a CSR matrix,
+// built once. Rows of equal length are cut into groups of groupWidth
+// and their entries interleaved by position: slot p of a group holds
+// the p-th stored entry of each of its rows, so one loop iteration
+// advances groupWidth independent row sums. A row without
+// groupWidth-1 peers of its length stays on the CSR loop (rest).
+type rowGroups struct {
+	a      *CSR
+	groups []rowGroup
+	col    [][groupWidth]int32
+	val    [][groupWidth]float64
+	rest   []int32
+}
+
+// rowGroup is one group: its output rows, and its slots
+// col[lo:hi] and val[lo:hi].
+type rowGroup struct {
+	rows   [groupWidth]int32
+	lo, hi int32
+}
+
+// newRowGroups builds the layout: rows sorted by (length, index), each
+// run of equal length cut into groups of groupWidth, and the run's
+// leftover rows kept for the CSR loop.
+func newRowGroups(a *CSR) *rowGroups {
+	rowLen := func(i int32) int32 { return a.rowPtr[i+1] - a.rowPtr[i] }
+	order := make([]int32, a.rows)
+	for i := range order {
+		order[i] = int32(i)
+	}
+	sort.Slice(order, func(x, y int) bool {
+		if lx, ly := rowLen(order[x]), rowLen(order[y]); lx != ly {
+			return lx < ly
+		}
+		return order[x] < order[y]
+	})
+	g := &rowGroups{a: a}
+	for lo := 0; lo < len(order); {
+		n := rowLen(order[lo])
+		hi := lo + 1
+		for hi < len(order) && rowLen(order[hi]) == n {
+			hi++
+		}
+		full := lo + (hi-lo)/groupWidth*groupWidth
+		for s := lo; s < full; s += groupWidth {
+			grp := rowGroup{lo: int32(len(g.col))}
+			copy(grp.rows[:], order[s:s+groupWidth])
+			for p := int32(0); p < n; p++ {
+				var c [groupWidth]int32
+				var v [groupWidth]float64
+				for r, i := range grp.rows {
+					k := a.rowPtr[i] + p
+					c[r], v[r] = a.colIdx[k], a.vals[k]
+				}
+				g.col = append(g.col, c)
+				g.val = append(g.val, v)
+			}
+			grp.hi = int32(len(g.col))
+			g.groups = append(g.groups, grp)
+		}
+		g.rest = append(g.rest, order[full:hi]...)
+		lo = hi
+	}
+	return g
+}
+
+// mulInto computes y = A·x, bit-identical to MulVecInto: every row
+// still sums its own entries in ascending column order from +0, and
+// only rows of equal length share a group, so there is no padding.
+// Only which rows run side by side changes. y must not alias x.
 //
 //mtlint:zeroalloc
-func (a *CSR) MulAddInto(y, bias, x []float64) {
-	if len(y) < a.rows || len(x) < a.cols || len(bias) < a.rows {
-		badAddArgs(len(y), len(bias), len(x), a.rows, a.cols)
+func (g *rowGroups) mulInto(y, x []float64) {
+	a := g.a
+	if len(y) < a.rows || len(x) < a.cols {
+		badVecArgs(len(y), len(x), a.rows, a.cols)
+	}
+	for gi := range g.groups {
+		grp := &g.groups[gi]
+		col := g.col[grp.lo:grp.hi]
+		val := g.val[grp.lo:grp.hi]
+		val = val[:len(col)]
+		var a0, a1, a2, a3 float64
+		for p := range col {
+			c, v := &col[p], &val[p]
+			a0 += v[0] * x[c[0]]
+			a1 += v[1] * x[c[1]]
+			a2 += v[2] * x[c[2]]
+			a3 += v[3] * x[c[3]]
+		}
+		y[grp.rows[0]] = a0
+		y[grp.rows[1]] = a1
+		y[grp.rows[2]] = a2
+		y[grp.rows[3]] = a3
 	}
 	rowPtr, colIdx, vals := a.rowPtr, a.colIdx, a.vals
-	for i := 0; i < a.rows; i++ {
-		acc := bias[i]
+	for _, i := range g.rest {
+		var acc float64
 		for k := rowPtr[i]; k < rowPtr[i+1]; k++ {
 			acc += vals[k] * x[colIdx[k]]
 		}
 		y[i] = acc
-	}
-}
-
-// MulBatchInto computes y_l = bias_l + A·x_l for k lanes. Lane l's
-// input starts at x[l*xStride] and its output at y[l*yStride]; bias is
-// laid out at yStride and may be nil for a pure product. Strides are
-// explicit (where Packed bakes its padded stride into the layout)
-// because CSR panels are caller-owned; both must be at least the
-// matrix dimension. Lanes are blocked by four so the column index and
-// value streams are read once per block, and the per-(row, lane)
-// accumulation order equals MulVecInto's, keeping batched results
-// bit-identical to k separate single-vector products.
-//
-//mtlint:zeroalloc
-func (a *CSR) MulBatchInto(y, bias []float64, k int, x []float64, xStride, yStride int) {
-	if k <= 0 || xStride < a.cols || yStride < a.rows ||
-		len(x) < (k-1)*xStride+a.cols || len(y) < (k-1)*yStride+a.rows ||
-		(bias != nil && len(bias) < (k-1)*yStride+a.rows) {
-		badBatchArgs(len(y), len(bias), k, len(x), xStride, yStride, a.rows, a.cols)
-	}
-	rowPtr, colIdx, vals := a.rowPtr, a.colIdx, a.vals
-	for i := 0; i < a.rows; i++ {
-		lo, hi := rowPtr[i], rowPtr[i+1]
-		l := 0
-		for ; l+4 <= k; l += 4 {
-			x0 := x[(l+0)*xStride:]
-			x1 := x[(l+1)*xStride:]
-			x2 := x[(l+2)*xStride:]
-			x3 := x[(l+3)*xStride:]
-			// The bias seeds the accumulator (not a trailing add) so
-			// the rounding sequence equals MulAddInto's exactly.
-			var a0, a1, a2, a3 float64
-			if bias != nil {
-				a0 = bias[(l+0)*yStride+i]
-				a1 = bias[(l+1)*yStride+i]
-				a2 = bias[(l+2)*yStride+i]
-				a3 = bias[(l+3)*yStride+i]
-			}
-			for p := lo; p < hi; p++ {
-				v, c := vals[p], colIdx[p]
-				a0 += v * x0[c]
-				a1 += v * x1[c]
-				a2 += v * x2[c]
-				a3 += v * x3[c]
-			}
-			y[(l+0)*yStride+i] = a0
-			y[(l+1)*yStride+i] = a1
-			y[(l+2)*yStride+i] = a2
-			y[(l+3)*yStride+i] = a3
-		}
-		for ; l < k; l++ {
-			xl := x[l*xStride:]
-			var acc float64
-			if bias != nil {
-				acc = bias[l*yStride+i]
-			}
-			for p := lo; p < hi; p++ {
-				acc += vals[p] * xl[colIdx[p]]
-			}
-			y[l*yStride+i] = acc
-		}
 	}
 }
 
@@ -252,16 +282,5 @@ func (a *CSR) MulBatchInto(y, bias []float64, k int, x []float64, xStride, yStri
 
 //go:noinline
 func badVecArgs(ly, lx, rows, cols int) {
-	panic(fmt.Sprintf("sparse: MulVecInto: len(y)=%d len(x)=%d for %dx%d", ly, lx, rows, cols))
-}
-
-//go:noinline
-func badAddArgs(ly, lb, lx, rows, cols int) {
-	panic(fmt.Sprintf("sparse: MulAddInto: len(y)=%d len(bias)=%d len(x)=%d for %dx%d", ly, lb, lx, rows, cols))
-}
-
-//go:noinline
-func badBatchArgs(ly, lb, k, lx, xs, ys, rows, cols int) {
-	panic(fmt.Sprintf("sparse: MulBatchInto: len(y)=%d len(bias)=%d k=%d len(x)=%d xStride=%d yStride=%d for %dx%d",
-		ly, lb, k, lx, xs, ys, rows, cols))
+	panic(fmt.Sprintf("sparse: mat-vec: len(y)=%d len(x)=%d for %dx%d", ly, lx, rows, cols))
 }

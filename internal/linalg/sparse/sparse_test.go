@@ -73,70 +73,111 @@ func TestMulVecMatchesDense(t *testing.T) {
 	}
 }
 
-func TestMulAddInto(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	a, d := randCSR(rng, 9, 9, 0.4)
-	x := make([]float64, 9)
-	bias := make([]float64, 9)
+// groupedCSR builds a random rows x cols matrix shaped for the
+// row-group layout: row lengths come from a menu of three short
+// lengths, one of them zero, so equal-length runs fill groups and
+// leave leftover and empty rows, and one row stores every column, far
+// longer than the rest (the shape of the thermal network's spreader
+// row).
+func groupedCSR(rng *rand.Rand, rows, cols int) *CSR {
+	short := 1 + cols/8
+	menu := [3]int{0, 1 + rng.Intn(short), 1 + rng.Intn(short)}
+	long := rng.Intn(rows)
+	b := NewBuilder(rows, cols)
+	for i := 0; i < rows; i++ {
+		n := menu[rng.Intn(len(menu))]
+		if i == long {
+			n = cols
+		}
+		for _, j := range rng.Perm(cols)[:n] {
+			b.Add(i, j, rng.NormFloat64())
+		}
+	}
+	return b.Build()
+}
+
+// checkRowGroups builds a's row-group layout, checks that it writes
+// every row exactly once, and checks its product bit-identical to
+// MulVecInto's. x and y are longer than the matrix, as in the
+// propagator, where they carry the augmented entry; the kernel must
+// leave y's tail alone.
+func checkRowGroups(t *testing.T, a *CSR, rng *rand.Rand) {
+	t.Helper()
+	g := newRowGroups(a)
+	seen := make([]int, a.rows)
+	for _, grp := range g.groups {
+		for _, i := range grp.rows {
+			seen[i]++
+		}
+	}
+	for _, i := range g.rest {
+		seen[i]++
+	}
+	for i, n := range seen {
+		if n != 1 {
+			t.Fatalf("%dx%d: row %d is in the layout %d times", a.rows, a.cols, i, n)
+		}
+	}
+	x := make([]float64, a.cols+1)
 	for i := range x {
 		x[i] = rng.NormFloat64()
-		bias[i] = rng.NormFloat64()
 	}
-	y := make([]float64, 9)
-	a.MulAddInto(y, bias, x)
-	want := d.MulVec(x)
-	for i := range y {
-		if math.Abs(y[i]-(want[i]+bias[i])) > 1e-12 {
-			t.Errorf("y[%d] = %g, want %g", i, y[i], want[i]+bias[i])
+	want := make([]float64, a.rows)
+	a.MulVecInto(want, x)
+	y := make([]float64, a.rows+1)
+	y[a.rows] = 42
+	g.mulInto(y, x)
+	for i, w := range want {
+		if math.Float64bits(y[i]) != math.Float64bits(w) {
+			t.Fatalf("%dx%d row %d (%d entries): row groups %x, MulVecInto %x", a.rows, a.cols, i,
+				a.rowPtr[i+1]-a.rowPtr[i], math.Float64bits(y[i]), math.Float64bits(w))
 		}
+	}
+	if y[a.rows] != 42 {
+		t.Fatalf("%dx%d: the kernel wrote past row %d", a.rows, a.cols, a.rows-1)
 	}
 }
 
-// TestMulBatchBitIdenticalToMulVec is the batch contract: k lanes
-// through MulBatchInto must equal k separate MulVecInto calls bitwise,
-// at every lane position within the 4-wide blocking.
-func TestMulBatchBitIdenticalToMulVec(t *testing.T) {
+// TestRowGroupsBitIdenticalToMulVec is the row-group kernel's
+// contract: its product equals MulVecInto's bit for bit, whatever mix
+// of grouped, leftover, empty and long rows the matrix has.
+func TestRowGroupsBitIdenticalToMulVec(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	a, _ := randCSR(rng, 17, 17, 0.25)
-	for _, k := range []int{1, 2, 3, 4, 5, 8, 11} {
-		xs, ys := 19, 23 // strides deliberately larger than the dimension
-		x := make([]float64, k*xs)
-		bias := make([]float64, k*ys)
-		for i := range x {
-			x[i] = rng.NormFloat64()
-		}
-		for i := range bias {
-			bias[i] = rng.NormFloat64()
-		}
-		y := make([]float64, k*ys)
-		a.MulBatchInto(y, bias, k, x, xs, ys)
-		single := make([]float64, 17)
-		for l := 0; l < k; l++ {
-			a.MulAddInto(single, bias[l*ys:l*ys+17], x[l*xs:l*xs+17])
-			for i := 0; i < 17; i++ {
-				if math.Float64bits(y[l*ys+i]) != math.Float64bits(single[i]) {
-					t.Fatalf("k=%d lane %d row %d: batch %x, single %x",
-						k, l, i, math.Float64bits(y[l*ys+i]), math.Float64bits(single[i]))
-				}
-			}
+	for _, shape := range [][2]int{{1, 1}, {3, 5}, {17, 17}, {40, 40}, {64, 200}, {257, 33}} {
+		checkRowGroups(t, groupedCSR(rng, shape[0], shape[1]), rng)
+		a, _ := randCSR(rng, shape[0], shape[1], 0.25)
+		checkRowGroups(t, a, rng)
+	}
+}
+
+// TestRowGroupsLayout pins how rows are cut: runs of equal length
+// become groups of four in index order, and each run's remainder,
+// here one row of length 2 and the single row of length 3, stays on
+// the CSR loop.
+func TestRowGroupsLayout(t *testing.T) {
+	lengths := []int{2, 3, 2, 2, 2, 2, 0, 0, 0, 0, 2, 2, 2, 2}
+	b := NewBuilder(len(lengths), 4)
+	for i, n := range lengths {
+		for j := 0; j < n; j++ {
+			b.Add(i, j, float64(i+j))
 		}
 	}
-	// And without bias.
-	k := 6
-	x := make([]float64, k*17)
-	y := make([]float64, k*17)
-	for i := range x {
-		x[i] = rng.NormFloat64()
+	g := newRowGroups(b.Build())
+	var got [][groupWidth]int32
+	for _, grp := range g.groups {
+		got = append(got, grp.rows)
 	}
-	a.MulBatchInto(y, nil, k, x, 17, 17)
-	single := make([]float64, 17)
-	for l := 0; l < k; l++ {
-		a.MulVecInto(single, x[l*17:(l+1)*17])
-		for i := 0; i < 17; i++ {
-			if math.Float64bits(y[l*17+i]) != math.Float64bits(single[i]) {
-				t.Fatalf("nil bias: lane %d row %d differ", l, i)
-			}
+	want := [][groupWidth]int32{{6, 7, 8, 9}, {0, 2, 3, 4}, {5, 10, 11, 12}}
+	if len(got) != len(want) {
+		t.Fatalf("groups %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("groups %v, want %v", got, want)
 		}
+	}
+	if len(g.rest) != 2 || g.rest[0] != 13 || g.rest[1] != 1 {
+		t.Fatalf("rest %v, want [13 1]", g.rest)
 	}
 }
 
@@ -201,19 +242,23 @@ func TestSolveCGRejectsIndefinite(t *testing.T) {
 func TestKernelsAllocationFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	a, _ := randCSR(rng, 20, 20, 0.3)
-	x := make([]float64, 4*20)
-	y := make([]float64, 4*20)
-	bias := make([]float64, 4*20)
+	g := newRowGroups(groupedCSR(rng, 20, 20))
+	x := make([]float64, 21)
+	y := make([]float64, 21)
+	c := make([]float64, 20)
 	for i := range x {
 		x[i] = rng.NormFloat64()
 	}
 	if n := testing.AllocsPerRun(50, func() { a.MulVecInto(y, x) }); n != 0 {
 		t.Errorf("MulVecInto allocates %v per run", n)
 	}
-	if n := testing.AllocsPerRun(50, func() { a.MulAddInto(y, bias, x) }); n != 0 {
-		t.Errorf("MulAddInto allocates %v per run", n)
+	if n := testing.AllocsPerRun(50, func() { g.mulInto(y, x) }); n != 0 {
+		t.Errorf("rowGroups.mulInto allocates %v per run", n)
 	}
-	if n := testing.AllocsPerRun(50, func() { a.MulBatchInto(y, bias, 4, x, 20, 20) }); n != 0 {
-		t.Errorf("MulBatchInto allocates %v per run", n)
+	if n := testing.AllocsPerRun(50, func() { addDot(y, c, 0.5, x) }); n != 0 {
+		t.Errorf("addDot allocates %v per run", n)
+	}
+	if n := testing.AllocsPerRun(50, func() { subDot(y, x, 1e-3, y) }); n != 0 {
+		t.Errorf("subDot allocates %v per run", n)
 	}
 }

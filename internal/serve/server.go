@@ -2,7 +2,7 @@
 // cmd/thermald: an HTTP/JSON API that accepts simulation and
 // sweep-cell requests from many concurrent clients, shards them across
 // a persistent internal/parallel pool, coalesces same-(Template, dt)
-// cells from different clients into shared GEMM/SpMM panels (see
+// cells from different clients into shared lockstep batches (see
 // batcher.go), and fronts everything with a content-addressed LRU of
 // finished results.
 //

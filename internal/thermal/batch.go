@@ -157,9 +157,9 @@ func (b *BatchModel) Step() {
 
 // stepSparse advances every lane one exact tick through the shared
 // Krylov propagator: each lane's substep-scaled constant term
-// c = τ·B·(P + gAmb·T_amb) is rebuilt from its power, and the m
-// Arnoldi mat-vecs per substep run as one batched SpMM over the lane
-// panel. Zero allocations.
+// c = τ·B·(P + gAmb·T_amb) is rebuilt from its power, and the
+// propagator steps the lanes one at a time on its shared (m, nsub)
+// schedule. Zero allocations.
 //
 //mtlint:zeroalloc
 func (b *BatchModel) stepSparse() {

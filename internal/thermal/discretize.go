@@ -192,7 +192,7 @@ func (d *Discretization) Phi(i, j int) float64 { return d.phi.At(i, j) }
 // beat substepped RK4 at step dt on this machine. Three regimes
 // qualify: the template is above the sparse crossover (one Krylov
 // substep costs about the same as one RK4 substep but is exact at any
-// dt and — unlike RK4 — batches across lanes through the SpMM kernel),
+// dt and steps every lane of a batch on one shared schedule),
 // the dense Φ kernel is SIMD-accelerated (a single fused pass beats
 // even one sparse RK4 substep), or dt is far enough past the stability
 // bound that RK4 must substep repeatedly while the exact update stays a

@@ -1,7 +1,11 @@
 package thermal
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
+	"runtime"
 	"testing"
 
 	"multitherm/internal/floorplan"
@@ -330,5 +334,66 @@ func TestSparseStepAllocationFree(t *testing.T) {
 		b.Step()
 	}); got != 0 {
 		t.Errorf("sparse BatchModel.Step allocates %v per run", got)
+	}
+}
+
+// TestSparseStepBitsPinned pins every bit of the sparse exact step.
+// On each generated grid it runs a 3-lane batch and a lone UseExact
+// model through 400 ticks of lane-distinct power and hashes the
+// Float64bits of every model's node temperatures, lanes first, then
+// the lone model, against a recorded SHA-256 digest. A kernel change
+// that moves one bit of one node on one tick fails here; the reports
+// round to 0.01 °C, and the batch-vs-sequential test compares two runs
+// of one kernel, so neither would catch it. The sparse path is pure
+// Go, so the digests hold in the noasm build too. The Go compiler
+// fuses multiply-adds on arm64 and other FMA targets, which moves the
+// bits, but never on amd64, where the digests were recorded.
+func TestSparseStepBitsPinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("digests recorded on amd64; %s may fuse multiply-adds", runtime.GOARCH)
+	}
+	for _, tc := range []struct {
+		side   int
+		digest string
+	}{
+		{4, "48508d41eb812e660a8f7c09fb4ea18d9fc3954e45af26f9ad32517d4a6019b2"},
+		{8, "f36009220bcc7134bf672a841eee0d7b0c0298b7cded7bc65d3d0e18222d2a5b"},
+		{16, "78965526a7eb12d709f7a2fe2a82b09962db2dd2a86369784003958d9abc2b8f"},
+	} {
+		side := tc.side
+		tmpl := gridTemplate(t, side, side)
+		nb := tmpl.NumBlocks()
+		const k = 3
+		lanes := make([]*Model, k)
+		for l := range lanes {
+			lanes[l] = tmpl.NewModel()
+		}
+		b, err := NewBatch(lanes, testDt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lone := tmpl.NewModel()
+		if err := lone.UseExact(testDt); err != nil {
+			t.Fatal(err)
+		}
+		for tick := 0; tick < 400; tick++ {
+			for l, m := range lanes {
+				m.SetPower(testPower(nb, tick+l))
+			}
+			lone.SetPower(testPower(nb, tick+k))
+			b.Step()
+			lone.Step(testDt)
+		}
+		h := sha256.New()
+		var buf [8]byte
+		for _, m := range append(lanes, lone) {
+			for _, v := range m.temps {
+				binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+				h.Write(buf[:])
+			}
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != tc.digest {
+			t.Errorf("%dx%d grid: digest %s, want %s", side, side, got, tc.digest)
+		}
 	}
 }
