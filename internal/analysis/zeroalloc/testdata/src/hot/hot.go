@@ -41,6 +41,32 @@ func Box() *float64 {
 	return &v
 }
 
+// Push is marked and appends: growth past dst's capacity allocates in
+// runtime.growslice, which the escape output never reports.
+//
+//mtlint:zeroalloc
+func Push(dst []float64, v float64) []float64 {
+	return append(dst, v) // want `append in zeroalloc function Push`
+}
+
+// Total is marked and calls a local function named append, which is
+// not the builtin and is not flagged.
+//
+//mtlint:zeroalloc
+func Total(xs []float64) float64 {
+	append := func(s, v float64) float64 { return s + v }
+	var s float64
+	for _, v := range xs {
+		s = append(s, v)
+	}
+	return s
+}
+
+// Extend appends but is unmarked, so it is not the analyzer's business.
+func Extend(dst []float64, v float64) []float64 {
+	return append(dst, v)
+}
+
 // Fine allocates but is unmarked, so it is not the analyzer's business.
 func Fine(n int) []float64 {
 	return make([]float64, n)

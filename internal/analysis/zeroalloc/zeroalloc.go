@@ -14,11 +14,18 @@
 // Cold panic guards must hoist their fmt.Sprintf formatting into
 // unmarked helpers: interface conversions for format arguments are
 // heap allocations and are flagged like any other.
+//
+// One allocation has no escape line: an append that outgrows its
+// slice's capacity reallocates through runtime.growslice, which -m
+// never reports. So the analyzer also walks each marked body and flags
+// every call to the builtin append, resolved through the type
+// information so that a local function of that name is left alone.
 package zeroalloc
 
 import (
 	"go/ast"
 	"go/token"
+	"go/types"
 	"os"
 	"path"
 	"path/filepath"
@@ -45,6 +52,7 @@ type markedFunc struct {
 	from, to  int    // body line range, inclusive
 	declPos   token.Pos
 	fileIndex int
+	body      *ast.BlockStmt
 }
 
 func run(pass *driver.Pass) error {
@@ -52,6 +60,9 @@ func run(pass *driver.Pass) error {
 	marked := collectMarked(pkg)
 	if len(marked) == 0 {
 		return nil
+	}
+	for _, fn := range marked {
+		reportAppends(pass, fn)
 	}
 	// Build to a scratch file so analyzing a main package never drops
 	// an executable into the tree; for non-main packages the archive
@@ -97,10 +108,28 @@ func collectMarked(pkg *driver.Package) []markedFunc {
 				to:        pkg.Fset.Position(fn.Body.End()).Line,
 				declPos:   fn.Pos(),
 				fileIndex: i,
+				body:      fn.Body,
 			})
 		}
 	}
 	return out
+}
+
+// reportAppends flags every call to the builtin append in fn's body,
+// closures included: its growth allocates without an escape line.
+func reportAppends(pass *driver.Pass, fn markedFunc) {
+	ast.Inspect(fn.body, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
+			if b, ok := pass.TypesInfo().Uses[id].(*types.Builtin); ok && b.Name() == "append" {
+				pass.Reportf(call.Pos(), "append in zeroalloc function %s: growth past capacity allocates in runtime.growslice, which -gcflags=-m does not report", fn.name)
+			}
+		}
+		return true
+	})
 }
 
 // posFor converts a (line, col) escape position back into a token.Pos

@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -13,16 +14,23 @@ import (
 // both as a CSR and densely, and MulVecInto must agree with the dense
 // Packed.MulAddInto (zero bias) to a rounding tolerance: the two
 // accumulate in different orders (CSR walks each row's nonzeros,
-// Packed fans out columns). The propagator's row-group kernel is then
-// checked bit-identical to MulVecInto, an exact contract, on a second
-// matrix shaped by groupedCSR to hold empty rows, leftover rows and
-// one row far longer than the rest.
+// Packed fans out columns). The propagator's row-group kernels are
+// then checked bit-identical to MulVecInto, an exact contract, on a
+// second matrix: one whose row i stores lens[i] entries (modulo the
+// column count plus one), or, for empty lens, one shaped by groupedCSR
+// to hold empty rows, leftover rows and one row far longer than the
+// rest. The last three seeds are shapes the AVX-512 kernel once got
+// wrong: no leftover row, a zero-length long row, and groups made only
+// of empty rows, so there is no slot at all.
 func FuzzSpMV(f *testing.F) {
-	f.Add(int64(1), uint8(4), uint8(4), uint8(128))
-	f.Add(int64(2), uint8(1), uint8(7), uint8(30))
-	f.Add(int64(3), uint8(40), uint8(40), uint8(10))
-	f.Add(int64(4), uint8(13), uint8(9), uint8(255))
-	f.Fuzz(func(t *testing.T, seed int64, r8, c8, fill8 uint8) {
+	f.Add(int64(1), uint8(4), uint8(4), uint8(128), []byte(nil))
+	f.Add(int64(2), uint8(1), uint8(7), uint8(30), []byte(nil))
+	f.Add(int64(3), uint8(40), uint8(40), uint8(10), []byte(nil))
+	f.Add(int64(4), uint8(13), uint8(9), uint8(255), []byte(nil))
+	f.Add(int64(5), uint8(6), uint8(6), uint8(60), bytes.Repeat([]byte{3}, 2*groupWidth))
+	f.Add(int64(6), uint8(6), uint8(6), uint8(60), append(bytes.Repeat([]byte{2}, groupWidth), 0))
+	f.Add(int64(7), uint8(6), uint8(6), uint8(60), make([]byte, groupWidth))
+	f.Fuzz(func(t *testing.T, seed int64, r8, c8, fill8 uint8, lens []byte) {
 		rows := 1 + int(r8)%48
 		cols := 1 + int(c8)%48
 		fill := float64(fill8) / 255
@@ -49,7 +57,15 @@ func FuzzSpMV(f *testing.F) {
 				t.Fatalf("row %d: sparse %.17g dense %.17g (mass %g)", i, ySparse[i], yDense[i], mass)
 			}
 		}
-		// Row-group kernel vs MulVecInto: exact.
-		checkRowGroups(t, groupedCSR(rng, 4+rows, 4*cols), rng)
+		// Row-group kernels vs MulVecInto: exact.
+		if len(lens) == 0 {
+			checkRowGroups(t, groupedCSR(rng, 4+rows, 4*cols), rng)
+			return
+		}
+		shape := make([]int, min(len(lens), 256))
+		for i := range shape {
+			shape[i] = int(lens[i]) % (4*cols + 1)
+		}
+		checkRowGroups(t, lengthsCSR(rng, shape, 4*cols), rng)
 	})
 }

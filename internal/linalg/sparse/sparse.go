@@ -18,6 +18,7 @@ package sparse
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -167,26 +168,32 @@ func (a *CSR) MulVecInto(y, x []float64) {
 	}
 }
 
-// groupWidth is how many equal-length rows the row-group kernel sums
-// side by side; mulInto spells out that many accumulators.
-const groupWidth = 4
+// groupWidth is how many equal-length rows the row-group kernels sum
+// side by side: the eight float64 lanes of one ZMM register in the
+// AVX-512 kernel, and eight accumulators in its Go twin.
+const groupWidth = 8
 
 // rowGroups is the Krylov propagator's mat-vec layout of a CSR matrix,
 // built once. Rows of equal length are cut into groups of groupWidth
 // and their entries interleaved by position: slot p of a group holds
 // the p-th stored entry of each of its rows, so one loop iteration
 // advances groupWidth independent row sums. A row without
-// groupWidth-1 peers of its length stays on the CSR loop (rest).
+// groupWidth-1 peers of its length is left over: the longest leftover
+// row is long, the others are rest, and all of them are summed from
+// the CSR arrays.
 type rowGroups struct {
 	a      *CSR
 	groups []rowGroup
 	col    [][groupWidth]int32
 	val    [][groupWidth]float64
-	rest   []int32
+	long   int32   // the longest leftover row, or -1 if none is left over
+	rest   []int32 // the other leftover rows
+	avx512 bool    // mulInto runs the AVX-512 kernel; false runs its Go twin
 }
 
 // rowGroup is one group: its output rows, and its slots
-// col[lo:hi] and val[lo:hi].
+// col[lo:hi] and val[lo:hi]. The AVX-512 kernel reads these fields by
+// offset (rowGroupLo, rowGroupHi, rowGroupSize).
 type rowGroup struct {
 	rows   [groupWidth]int32
 	lo, hi int32
@@ -194,7 +201,8 @@ type rowGroup struct {
 
 // newRowGroups builds the layout: rows sorted by (length, index), each
 // run of equal length cut into groups of groupWidth, and the run's
-// leftover rows kept for the CSR loop.
+// leftover rows kept for the CSR loop, the last and longest of them as
+// the long row. It runs the AVX-512 kernel where the CPU has one.
 func newRowGroups(a *CSR) *rowGroups {
 	rowLen := func(i int32) int32 { return a.rowPtr[i+1] - a.rowPtr[i] }
 	order := make([]int32, a.rows)
@@ -207,7 +215,7 @@ func newRowGroups(a *CSR) *rowGroups {
 		}
 		return order[x] < order[y]
 	})
-	g := &rowGroups{a: a}
+	g := &rowGroups{a: a, long: -1, avx512: groupKernelAVX512}
 	for lo := 0; lo < len(order); {
 		n := rowLen(order[lo])
 		hi := lo + 1
@@ -234,13 +242,17 @@ func newRowGroups(a *CSR) *rowGroups {
 		g.rest = append(g.rest, order[full:hi]...)
 		lo = hi
 	}
+	if n := len(g.rest); n > 0 {
+		g.long, g.rest = g.rest[n-1], g.rest[:n-1]
+	}
 	return g
 }
 
 // mulInto computes y = A·x, bit-identical to MulVecInto: every row
-// still sums its own entries in ascending column order from +0, and
-// only rows of equal length share a group, so there is no padding.
-// Only which rows run side by side changes. y must not alias x.
+// still sums its own entries in ascending column order from +0, with
+// a separate multiply and add, and only rows of equal length share a
+// group, so there is no padding. Only which rows run side by side
+// changes. y must not alias x.
 //
 //mtlint:zeroalloc
 func (g *rowGroups) mulInto(y, x []float64) {
@@ -248,32 +260,107 @@ func (g *rowGroups) mulInto(y, x []float64) {
 	if len(y) < a.rows || len(x) < a.cols {
 		badVecArgs(len(y), len(x), a.rows, a.cols)
 	}
+	if g.avx512 {
+		g.mulAVX512(y, x)
+	} else {
+		g.mulGroups(y, x)
+		if g.long >= 0 {
+			y[g.long] = a.rowDot(g.long, x)
+		}
+	}
+	for _, i := range g.rest {
+		y[i] = a.rowDot(i, x)
+	}
+}
+
+// mulAVX512 runs the groups and the long row through the AVX-512
+// kernel, which takes nil for an empty slot or long-row array.
+//
+//mtlint:zeroalloc
+func (g *rowGroups) mulAVX512(y, x []float64) {
+	var (
+		grp  *rowGroup
+		col  *[groupWidth]int32
+		val  *[groupWidth]float64
+		lcol *int32
+		lval *float64
+		n    int32
+	)
+	if len(g.groups) > 0 {
+		grp = &g.groups[0]
+	}
+	if len(g.col) > 0 {
+		col, val = &g.col[0], &g.val[0]
+	}
+	if g.long >= 0 {
+		lo := g.a.rowPtr[g.long]
+		if n = g.a.rowPtr[g.long+1] - lo; n > 0 {
+			lcol, lval = &g.a.colIdx[lo], &g.a.vals[lo]
+		}
+	}
+	s := mulGroupsAVX512(grp, len(g.groups), col, val, &x[0], &y[0], lcol, lval, int(n))
+	if g.long >= 0 {
+		y[g.long] = s
+	}
+}
+
+// mulGroups is the AVX-512 kernel's Go twin for the groups: the only
+// path where the kernel is not built or the CPU lacks AVX-512F, and
+// the tests' reference for it.
+//
+// The compiler may make either operand of a multiply or add the
+// destination, and where both are NaN the destination's payload wins.
+// Which one it picks for eight accumulators is up to its register
+// allocator; for a loop with one accumulator, as in rowDot and
+// MulVecInto, it is the accumulator and the stored value. Without a
+// NaN the operand order moves no bit, and a NaN reaches the row's sum,
+// so a group whose sums hold a NaN (or whose total does) is summed
+// again row by row.
+//
+//mtlint:zeroalloc
+func (g *rowGroups) mulGroups(y, x []float64) {
 	for gi := range g.groups {
 		grp := &g.groups[gi]
 		col := g.col[grp.lo:grp.hi]
 		val := g.val[grp.lo:grp.hi]
 		val = val[:len(col)]
-		var a0, a1, a2, a3 float64
+		var a0, a1, a2, a3, a4, a5, a6, a7 float64
 		for p := range col {
 			c, v := &col[p], &val[p]
 			a0 += v[0] * x[c[0]]
 			a1 += v[1] * x[c[1]]
 			a2 += v[2] * x[c[2]]
 			a3 += v[3] * x[c[3]]
+			a4 += v[4] * x[c[4]]
+			a5 += v[5] * x[c[5]]
+			a6 += v[6] * x[c[6]]
+			a7 += v[7] * x[c[7]]
 		}
 		y[grp.rows[0]] = a0
 		y[grp.rows[1]] = a1
 		y[grp.rows[2]] = a2
 		y[grp.rows[3]] = a3
-	}
-	rowPtr, colIdx, vals := a.rowPtr, a.colIdx, a.vals
-	for _, i := range g.rest {
-		var acc float64
-		for k := rowPtr[i]; k < rowPtr[i+1]; k++ {
-			acc += vals[k] * x[colIdx[k]]
+		y[grp.rows[4]] = a4
+		y[grp.rows[5]] = a5
+		y[grp.rows[6]] = a6
+		y[grp.rows[7]] = a7
+		if math.IsNaN(a0 + a1 + a2 + a3 + a4 + a5 + a6 + a7) {
+			for _, i := range grp.rows {
+				y[i] = g.a.rowDot(i, x)
+			}
 		}
-		y[i] = acc
 	}
+}
+
+// rowDot returns row i of A·x, summed as MulVecInto sums it.
+//
+//mtlint:zeroalloc
+func (a *CSR) rowDot(i int32, x []float64) float64 {
+	var acc float64
+	for k := a.rowPtr[i]; k < a.rowPtr[i+1]; k++ {
+		acc += a.vals[k] * x[a.colIdx[k]]
+	}
+	return acc
 }
 
 // Cold-path argument panics, kept out of the zero-alloc kernel bodies

@@ -8,12 +8,15 @@ import (
 	"testing"
 )
 
-// TestHostileWireRejected drives the decode-time caps: every body is
-// hostile on exactly one axis and must die with a 400 before the
-// server sizes any allocation or loop from it.
-func TestHostileWireRejected(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+// hostileCase is one request body hostile on exactly one axis, and the
+// endpoint it is posted to.
+type hostileCase struct {
+	name, path, body string
+}
 
+// hostileCases are the bodies TestHostileWireRejected posts and
+// FuzzWireSpec starts from.
+func hostileCases() []hostileCase {
 	var bigSweep strings.Builder
 	bigSweep.WriteString(`{"simtime_s":0.001,"cells":[`)
 	for i := 0; i <= MaxSweepCells; i++ {
@@ -24,10 +27,15 @@ func TestHostileWireRejected(t *testing.T) {
 	}
 	bigSweep.WriteString(`]}`)
 
-	cases := []struct {
-		name, path, body string
-	}{
+	// Legal bodies but for their size: a run of whitespace between two
+	// fields carries each past maxRequestBytes.
+	pad := strings.Repeat(" ", maxRequestBytes)
+
+	return []hostileCase{
 		{"sweep over cell cap", "/v1/sweep", bigSweep.String()},
+		{"oversized sim body", "/v1/sim", `{"workload":"workload1",` + pad + `"policy":"dist-dvfs","simtime_s":0.001}`},
+		{"oversized sweep body", "/v1/sweep", `{"simtime_s":0.001,` + pad + `"cells":[{"workload":"workload1","policy":"dist-dvfs"}]}`},
+		{"oversized trace body", "/v1/sim/trace", `{"workload":"workload1",` + pad + `"policy":"dist-dvfs","simtime_s":0.001}`},
 		{"overflow floorplan", "/v1/sim", `{"floorplan":"99999999x99999999","policy":"dist-dvfs","simtime_s":0.001}`},
 		{"negative floorplan dim", "/v1/sim", `{"floorplan":"4x-4","policy":"dist-dvfs","simtime_s":0.001}`},
 		{"zero floorplan dim", "/v1/sim", `{"floorplan":"0x4","policy":"dist-dvfs","simtime_s":0.001}`},
@@ -40,12 +48,22 @@ func TestHostileWireRejected(t *testing.T) {
 		{"huge trace stride", "/v1/sim/trace", fmt.Sprintf(`{"workload":"workload1","policy":"dist-dvfs","every":%d}`, MaxTraceEvery+1)},
 		{"overflow floorplan in sweep", "/v1/sweep", `{"simtime_s":0.001,"cells":[{"floorplan":"99999999x99999999","policy":"dist-dvfs"}]}`},
 	}
-	for _, tc := range cases {
+}
+
+// TestHostileWireRejected drives the decode-time caps: every body is
+// hostile on exactly one axis and must die with a 400 before the
+// server sizes any allocation or loop from it, and the server must
+// keep serving afterwards.
+func TestHostileWireRejected(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, tc := range hostileCases() {
 		code, _, body := post(t, ts.URL+tc.path, tc.body)
 		if code != http.StatusBadRequest {
 			t.Errorf("%s: got status %d (body %.120s), want 400", tc.name, code, body)
 		}
 	}
+	// Each failure was the request's, not the process's.
+	mustPost(t, ts.URL+"/v1/sim", `{"workload":"workload1","policy":"dist-dvfs","simtime_s":0.001}`)
 }
 
 // TestGridCellDeterministicAcrossCacheFlush proves a generated-grid

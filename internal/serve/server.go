@@ -191,10 +191,16 @@ func (s *Server) runCell(r *http.Request, c *cell) ([]byte, error) {
 	}
 }
 
+// maxRequestBytes caps every request body the handlers decode, so a
+// hostile body fails its request with a 400 instead of being buffered
+// whole. The longest legal sweep, MaxSweepCells of the longest cells,
+// takes about a tenth of it (TestLargestSweepBodyFitsCap).
+const maxRequestBytes = 1 << 20
+
 // handleSim answers POST /v1/sim: one cell, one canonical JSON body.
 func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
 	var spec CellSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(&spec); err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("decoding request: %v", err))
 		return
 	}
@@ -226,7 +232,7 @@ func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
 // request, results assembled in request order.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(&req); err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("decoding request: %v", err))
 		return
 	}
@@ -314,7 +320,7 @@ type traceLine struct {
 // by a single probe in tick order and rendered by one encoder.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	var req TraceRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(&req); err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("decoding request: %v", err))
 		return
 	}

@@ -192,23 +192,24 @@ const keyPreimageMax = 192
 // depend on. Strings are length-delimited (no separator ambiguity) and
 // floats are encoded as their IEEE-754 bit patterns, so distinct specs
 // cannot collide by formatting and equal specs hash equally on every
-// machine.
+// machine. The preimage is written at running offsets into a stack
+// array; a name too long for it panics on the slice bound rather than
+// being cut short.
 //
 //mtlint:zeroalloc
 func cellKey(spec CellSpec, dt float64, traceIntervals int) [32]byte {
-	var arr [keyPreimageMax]byte
-	b := arr[:0]
-	b = append(b, "mtserve/2\x00"...)
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(spec.Workload)))
-	b = append(b, spec.Workload...)
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(spec.Policy)))
-	b = append(b, spec.Policy...)
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(spec.Floorplan)))
-	b = append(b, spec.Floorplan...)
-	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(spec.SimTimeS))
-	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(dt))
-	b = binary.LittleEndian.AppendUint64(b, uint64(traceIntervals))
-	return sha256.Sum256(b)
+	var b [keyPreimageMax]byte
+	off := copy(b[:], "mtserve/2\x00")
+	for _, s := range [...]string{spec.Workload, spec.Policy, spec.Floorplan} {
+		binary.LittleEndian.PutUint32(b[off:], uint32(len(s)))
+		off += 4
+		off += copy(b[off:off+len(s)], s)
+	}
+	for _, w := range [...]uint64{math.Float64bits(spec.SimTimeS), math.Float64bits(dt), uint64(traceIntervals)} {
+		binary.LittleEndian.PutUint64(b[off:], w)
+		off += 8
+	}
+	return sha256.Sum256(b[:off])
 }
 
 // CellResult is the wire form of one finished cell. Field order is the

@@ -177,8 +177,9 @@ func (t *Template) Discretization(dt units.Seconds) (*Discretization, error) {
 func (d *Discretization) Dt() units.Seconds { return units.Seconds(d.dt) }
 
 // SIMDAccelerated reports whether the per-tick update runs the
-// vectorized packed kernel on this machine. Sparse discretizations
-// step through the generic Krylov kernels, so they report false.
+// vectorized dense packed Φ/Ψ kernel on this machine. Sparse
+// discretizations report false, even where their Krylov step's
+// mat-vec runs the AVX-512 row-group kernel.
 func (d *Discretization) SIMDAccelerated() bool {
 	return d.prop == nil && d.phiPacked.SIMDAccelerated()
 }

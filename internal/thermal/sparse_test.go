@@ -344,10 +344,13 @@ func TestSparseStepAllocationFree(t *testing.T) {
 // the lone model, against a recorded SHA-256 digest. A kernel change
 // that moves one bit of one node on one tick fails here; the reports
 // round to 0.01 °C, and the batch-vs-sequential test compares two runs
-// of one kernel, so neither would catch it. The sparse path is pure
-// Go, so the digests hold in the noasm build too. The Go compiler
-// fuses multiply-adds on arm64 and other FMA targets, which moves the
-// bits, but never on amd64, where the digests were recorded.
+// of one kernel, so neither would catch it. The Krylov mat-vec runs an
+// AVX-512 kernel where the CPU has one and its Go twin elsewhere and
+// in the noasm build; both sum each row in its stored order with a
+// separate multiply and add, so the digests hold in either build. The
+// Go compiler fuses multiply-adds on arm64 and other FMA targets,
+// which moves the bits, but never on amd64, where the digests were
+// recorded.
 func TestSparseStepBitsPinned(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("digests recorded on amd64; %s may fuse multiply-adds", runtime.GOARCH)
