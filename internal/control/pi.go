@@ -88,10 +88,6 @@ func NewPaperPIRuntime(setpoint units.Celsius) *PIRuntime {
 // Setpoint returns the target temperature.
 func (p *PIRuntime) Setpoint() units.Celsius { return p.setpoint }
 
-// SetSetpoint retargets the controller (used by threshold-sensitivity
-// experiments).
-func (p *PIRuntime) SetSetpoint(t units.Celsius) { p.setpoint = t }
-
 // Output returns the actuator value currently applied to the PLL.
 func (p *PIRuntime) Output() units.ScaleFactor { return p.applied }
 

@@ -146,73 +146,54 @@ type cell struct {
 // newRunner builds the cell's simulation with the runner kind its
 // policy and population call for.
 func (c cell) newRunner() (*sim.Runner, error) {
-	var r *sim.Runner
-	var err error
-	policy := c.policy.String()
 	switch {
 	case c.policy == dtmOff:
-		policy = "DTM off"
-		r, err = sim.NewUnthrottled(c.cfg, c.pop.mix)
+		return sim.NewUnthrottled(c.cfg, c.pop.mix)
 	case c.pop.procs != nil:
-		r, err = sim.NewTimeshared(c.cfg, c.pop.name, c.pop.procs, c.policy, 0)
+		return sim.NewTimeshared(c.cfg, c.pop.name, c.pop.procs, c.policy, 0)
 	default:
-		r, err = sim.New(c.cfg, c.pop.mix, c.policy)
+		return sim.New(c.cfg, c.pop.mix, c.policy)
 	}
-	if err != nil {
-		return nil, fmt.Errorf("experiments: %s on %s: %w", policy, c.pop.name, err)
+}
+
+// wrap names the cell in an error that stopped it.
+func (c cell) wrap(err error) error {
+	policy := c.policy.String()
+	if c.policy == dtmOff {
+		policy = "DTM off"
 	}
-	return r, nil
+	return fmt.Errorf("experiments: %s on %s: %w", policy, c.pop.name, err)
 }
 
 // runCells executes the given cells and slots each result at its input
-// index. Cells are grouped by sim.BatchKey in first-seen order and each
-// group is cut into lockstep batches of consecutive cells up front
-// (cutBatches, at most sim.DefaultBatchSize lanes wide), one
-// parallel.ForEach index per batch, taken in cut order. Cells sharing a
-// key — same thermal template and control period — step through one
-// fused panel update (sim.BatchRunner). Batch composition depends only
-// on the cells and the worker count, never on timing; results are
-// independent of both, because batched stepping is bit-identical to
-// sequential stepping (sim.BatchRunner's contract).
+// index. sim.CutBatches cuts the cells into lockstep batches by
+// sim.BatchKey up front, one parallel.ForEach index per batch in cut
+// order, and each batch runs through sim.RunBatch. The cut depends only
+// on the cells and the worker count, and the results on neither
+// (sim.BatchRunner's contract). The error returned is the lowest
+// failing lane's of the lowest failing batch.
 func runCells(o Options, cells []cell) ([]*metrics.Run, error) {
-	groupOf := map[sim.BatchKey]int{}
-	var groups [][]int
+	keys := make([]sim.BatchKey, len(cells))
 	for i, c := range cells {
 		k, err := sim.BatchKeyOf(c.cfg)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: %s on %s: %w", c.policy, c.pop.name, err)
+			return nil, c.wrap(err)
 		}
-		g, seen := groupOf[k]
-		if !seen {
-			g = len(groups)
-			groupOf[k] = g
-			groups = append(groups, nil)
-		}
-		groups[g] = append(groups[g], i)
+		keys[i] = k
 	}
-	batches := cutBatches(groups, sim.DefaultBatchSize(), parallel.Workers(o.Parallelism))
+	batches := sim.CutBatches(keys, parallel.Workers(o.Parallelism))
 
 	runs := make([]*metrics.Run, len(cells))
 	err := parallel.ForEach(context.Background(), o.Parallelism, len(batches),
 		func(_ context.Context, bi int) error {
 			idx := batches[bi]
-			runners := make([]*sim.Runner, len(idx))
+			ms, errs := sim.RunBatch(len(idx), func(j int) (*sim.Runner, error) {
+				return cells[idx[j]].newRunner()
+			})
 			for j, ci := range idx {
-				r, err := cells[ci].newRunner()
-				if err != nil {
-					return err
+				if errs[j] != nil {
+					return cells[ci].wrap(errs[j])
 				}
-				runners[j] = r
-			}
-			br, err := sim.NewBatchRunner(runners)
-			if err != nil {
-				return err
-			}
-			ms, err := br.Run()
-			if err != nil {
-				return err
-			}
-			for j, ci := range idx {
 				runs[ci] = ms[j]
 			}
 			return nil
@@ -221,25 +202,6 @@ func runCells(o Options, cells []cell) ([]*metrics.Run, error) {
 		return nil, err
 	}
 	return runs, nil
-}
-
-// cutBatches cuts each group of same-key cells into batches of
-// consecutive cells, in group order. A batch is at most width lanes
-// wide, and at most ceil(len(group)/workers), so one group spreads over
-// every worker instead of leaving some idle: three cells on two workers
-// run as a two-lane and a one-lane batch, not one three-lane batch.
-// With one worker the cut is width-sized.
-func cutBatches(groups [][]int, width, workers int) [][]int {
-	var batches [][]int
-	for _, idx := range groups {
-		w := min(width, (len(idx)+workers-1)/workers)
-		for len(idx) > 0 {
-			n := min(len(idx), w)
-			batches = append(batches, idx[:n])
-			idx = idx[n:]
-		}
-	}
-	return batches
 }
 
 // Result is the common interface of all experiment outputs.

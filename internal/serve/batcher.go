@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"multitherm/internal/metrics"
 	"multitherm/internal/parallel"
 	"multitherm/internal/sim"
 )
@@ -25,11 +24,11 @@ import (
 // 1, so there every miss waits out the window alone.
 //
 // Batch composition depends on arrival timing and is therefore not
-// deterministic; responses still are, because lockstep stepping is
-// bit-identical to sequential stepping at any width and any packing
-// (sim.BatchRunner's contract, fuzzed and tested since PR 3). The
-// batcher only ever changes *when* a cell runs and *whose cache lines
-// it shares*, never what it computes.
+// deterministic; responses still are: lockstep stepping is bit-identical
+// to sequential stepping at any width and packing (sim.BatchRunner), and
+// a failing lane gets a lone run's error while its batchmates finish
+// (sim.RunBatch). The batcher changes *when* a cell runs and *whose
+// cache lines it shares*, never what it computes or how it fails.
 
 // joinResult is what a waiting request receives: the canonical
 // response bytes for its cell, or the error that stopped them.
@@ -73,7 +72,6 @@ type batcher struct {
 	batches, lanes        atomic.Int64
 	fullFlushes, timeouts atomic.Int64
 	widest                atomic.Int64
-	fallbackSingles       atomic.Int64
 }
 
 func newBatcher(pool *parallel.Pool, window time.Duration) *batcher {
@@ -184,72 +182,28 @@ func (b *batcher) dispatch(batch []*join) {
 			break
 		}
 	}
-	if err := b.pool.Submit(func() { runBatch(b, batch) }); err != nil {
+	if err := b.pool.Submit(func() { runBatch(batch) }); err != nil {
 		for _, j := range batch {
 			j.done <- joinResult{err: fmt.Errorf("serve: draining: %w", err)}
 		}
 	}
 }
 
-// runBatch executes one batch on a pool worker: it builds fresh
-// runners and steps them in lockstep through the shared propagator
-// panel (a one-lane batch is exactly Runner.Run). Every lane's bytes
-// are bit-identical to a sequential run.
-func runBatch(b *batcher, batch []*join) {
-	live := make([]*sim.Runner, 0, len(batch))
-	liveJoins := make([]*join, 0, len(batch))
-	for _, j := range batch {
-		r, err := j.c.newRunner()
-		if err != nil {
-			// A lane that cannot even construct fails alone; the rest of
-			// the batch proceeds without it.
-			j.done <- joinResult{err: err}
+// runBatch runs one batch on a pool worker through sim.RunBatch, the
+// engine cmd/sweep's cells run through too, and answers each join on
+// its own: no lane's bytes or error text depend on its batchmates.
+func runBatch(batch []*join) {
+	ms, errs := sim.RunBatch(len(batch), func(l int) (*sim.Runner, error) {
+		return batch[l].c.newRunner()
+	})
+	for l, j := range batch {
+		if errs[l] != nil {
+			j.done <- joinResult{err: errs[l]}
 			continue
 		}
-		live = append(live, r)
-		liveJoins = append(liveJoins, j)
-	}
-	if len(live) == 0 {
-		return
-	}
-	var ms []*metrics.Run
-	br, err := sim.NewBatchRunner(live)
-	if err == nil {
-		ms, err = br.Run()
-	}
-	if err != nil {
-		// Lanes that cannot share a propagator (foreign template, odd
-		// sample period) and a mid-run failure, which poisons the shared
-		// panels for every lane, both fall back to sequential runs: the
-		// same bytes, with errors attributed per cell and healthy lanes
-		// still answering.
-		b.fallbackSingles.Add(int64(len(liveJoins)))
-		for _, j := range liveJoins {
-			j.done <- runSingle(j.c)
-		}
-		return
-	}
-	for i, j := range liveJoins {
-		bytes, err := encodeResult(j.c, ms[i])
+		bytes, err := encodeResult(j.c, ms[l])
 		j.done <- joinResult{bytes: bytes, err: err}
 	}
-}
-
-// runSingle executes one cell alone and encodes its canonical bytes.
-// Runner.Run is a one-lane sim.BatchRunner, so this fallback steps
-// through the same engine as runBatch; every batched lane matches it
-// bit for bit.
-func runSingle(c *cell) joinResult {
-	r, err := c.newRunner()
-	if err != nil {
-		return joinResult{err: err}
-	}
-	m, err := r.Run()
-	if err != nil {
-		return joinResult{err: err}
-	}
-	bytes, err := encodeResult(c, m)
-	return joinResult{bytes: bytes, err: err}
 }
 
 // batchStats is the /v1/stats projection of the batcher counters.
@@ -262,19 +216,18 @@ type batchStats struct {
 	WidestBatch     int64   `json:"widest_batch"`
 	FullFlushes     int64   `json:"full_flushes"`
 	WindowFlushes   int64   `json:"window_flushes"`
-	FallbackSingles int64   `json:"fallback_singles"`
+	FallbackSingles int64   `json:"fallback_singles"` // always 0, as no batch is rerun; kept while the benchmark reads it
 }
 
 func (b *batcher) stats() batchStats {
 	return batchStats{
-		Enabled:         b.enabled(),
-		Width:           b.width,
-		WindowMS:        float64(b.window) / float64(time.Millisecond),
-		Batches:         b.batches.Load(),
-		Lanes:           b.lanes.Load(),
-		WidestBatch:     b.widest.Load(),
-		FullFlushes:     b.fullFlushes.Load(),
-		WindowFlushes:   b.timeouts.Load(),
-		FallbackSingles: b.fallbackSingles.Load(),
+		Enabled:       b.enabled(),
+		Width:         b.width,
+		WindowMS:      float64(b.window) / float64(time.Millisecond),
+		Batches:       b.batches.Load(),
+		Lanes:         b.lanes.Load(),
+		WidestBatch:   b.widest.Load(),
+		FullFlushes:   b.fullFlushes.Load(),
+		WindowFlushes: b.timeouts.Load(),
 	}
 }

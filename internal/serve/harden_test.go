@@ -47,6 +47,10 @@ func hostileCases() []hostileCase {
 		{"negative trace stride", "/v1/sim/trace", `{"workload":"workload1","policy":"dist-dvfs","every":-1}`},
 		{"huge trace stride", "/v1/sim/trace", fmt.Sprintf(`{"workload":"workload1","policy":"dist-dvfs","every":%d}`, MaxTraceEvery+1)},
 		{"overflow floorplan in sweep", "/v1/sweep", `{"simtime_s":0.001,"cells":[{"floorplan":"99999999x99999999","policy":"dist-dvfs"}]}`},
+		{"paper simtime under half a tick", "/v1/sim", `{"workload":"workload1","policy":"dist-dvfs","simtime_s":1e-6}`},
+		{"grid simtime under half a tick", "/v1/sim", `{"floorplan":"4x4","policy":"dist-dvfs","simtime_s":1e-6}`},
+		{"sweep simtime under half a tick", "/v1/sweep", `{"simtime_s":1e-6,"cells":[{"workload":"workload1","policy":"dist-dvfs"}]}`},
+		{"trace simtime under half a tick", "/v1/sim/trace", `{"workload":"workload1","policy":"dist-dvfs","simtime_s":1e-6}`},
 	}
 }
 
@@ -64,6 +68,20 @@ func TestHostileWireRejected(t *testing.T) {
 	}
 	// Each failure was the request's, not the process's.
 	mustPost(t, ts.URL+"/v1/sim", `{"workload":"workload1","policy":"dist-dvfs","simtime_s":0.001}`)
+}
+
+// TestSimTimeBoundIsHalfATick pins both sides of the shortest
+// simulated time a cell may ask for. The control period is about
+// 27.8 µs, so 13 µs rounds to zero control ticks and answers 400 at
+// decode, while 14 µs runs one tick and answers 200.
+func TestSimTimeBoundIsHalfATick(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	const cell = `{"workload":"workload1","policy":"dist-dvfs","simtime_s":%v}`
+	if code, _, body := post(t, ts.URL+"/v1/sim", fmt.Sprintf(cell, 1.3e-5)); code != http.StatusBadRequest ||
+		!strings.Contains(string(body), "half a control period") {
+		t.Errorf("simtime_s 1.3e-5: status %d, body %s; want 400 naming the bound", code, body)
+	}
+	mustPost(t, ts.URL+"/v1/sim", fmt.Sprintf(cell, 1.4e-5))
 }
 
 // TestGridCellDeterministicAcrossCacheFlush proves a generated-grid

@@ -88,6 +88,11 @@ func (c *cell) newRunner() (*sim.Runner, error) {
 	return sim.New(c.cfg, c.mix, c.policy)
 }
 
+// minSimTimeS is half the control period both cell kinds inherit from
+// sim.DefaultConfig(). A shorter simulated time rounds to zero control
+// ticks, a run that would fail on the pool rather than at decode.
+var minSimTimeS = float64(sim.DefaultConfig().Policy.SamplePeriod) / 2
+
 // resolveSimTime validates the wire simulated time against the server
 // limits, resolving the zero "inherit" sentinel.
 func (s *Server) resolveSimTime(reqSimTime, defaultSimTime float64) (float64, error) {
@@ -100,6 +105,9 @@ func (s *Server) resolveSimTime(reqSimTime, defaultSimTime float64) (float64, er
 	}
 	if simTime < 0 || math.IsNaN(simTime) || math.IsInf(simTime, 0) {
 		return 0, fmt.Errorf("serve: simtime_s %v is not a positive duration", reqSimTime)
+	}
+	if simTime < minSimTimeS {
+		return 0, fmt.Errorf("serve: simtime_s %g is under half a control period (%g s), which runs no control tick", simTime, minSimTimeS)
 	}
 	if simTime > s.cfg.maxSimTime() {
 		return 0, fmt.Errorf("serve: simtime_s %g exceeds the server limit of %g s", simTime, s.cfg.maxSimTime())

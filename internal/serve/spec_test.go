@@ -4,6 +4,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 	"testing"
 
 	"multitherm/internal/core"
@@ -46,9 +47,11 @@ func TestCellKeyPinned(t *testing.T) {
 func TestLargestSweepBodyFitsCap(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer s.Close()
-	// Seventeen digits and a three-digit exponent: the longest JSON
-	// spelling of a positive float64.
-	simTime := 1.2345678901234567e-300
+	// The longest JSON spelling of a legal simulated time, 23 bytes:
+	// encoding/json writes floats of 1e-6 and up without an exponent,
+	// so a time just over the 13.9 µs floor takes four leading zeros
+	// and seventeen significant digits ("0.000020000000000000005").
+	simTime := math.Nextafter(2e-5, 1)
 	var longestMix, longestPolicy string
 	for _, m := range workload.Mixes {
 		if len(m.Name) > len(longestMix) {

@@ -36,7 +36,8 @@ func BatchKeyOf(cfg Config) (BatchKey, error) {
 // thermal step is shared. Runner.Run is the one-lane case.
 //
 // Lanes may be ragged: runners with shorter SimTime finish early and
-// drop out of the control loop while the rest keep stepping.
+// drop out of the control loop while the rest keep stepping. A lane
+// that fails drops out the same way, with its error.
 type BatchRunner struct {
 	runners []*Runner
 }
@@ -63,26 +64,75 @@ func (r *Runner) batchKey() BatchKey {
 }
 
 // Run executes all lanes to completion and returns their metrics in
-// lane order.
+// lane order, or the lowest failing lane's error with lane context.
 func (b *BatchRunner) Run() ([]*metrics.Run, error) {
-	k := len(b.runners)
-	// laneErr names the failing lane; a one-lane batch is a lone
-	// Runner.Run, whose errors read without lane context.
-	laneErr := func(l int, err error) error {
-		if k == 1 {
-			return err
+	ms, errs := b.run()
+	for l, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("sim: batch lane %d (%s): %w", l, b.runners[l].label, err)
 		}
-		return fmt.Errorf("sim: batch lane %d (%s): %w", l, b.runners[l].label, err)
 	}
+	return ms, nil
+}
+
+// RunBatch builds n lanes, calling newRunner once per lane, and steps
+// the ones that build as one BatchRunner. It answers per lane: runs[l],
+// or errs[l] worded as a lone Runner.Run of lane l words it. A failed
+// lane never stops its batchmates. Lanes whose batch keys differ
+// cannot share a batch, so each of them gets the mismatch error.
+func RunBatch(n int, newRunner func(lane int) (*Runner, error)) ([]*metrics.Run, []error) {
+	runs := make([]*metrics.Run, n)
+	errs := make([]error, n)
+	var runners []*Runner
+	var lanes []int
+	for l := range n {
+		r, err := newRunner(l)
+		if err != nil {
+			errs[l] = err
+			continue
+		}
+		runners = append(runners, r)
+		lanes = append(lanes, l)
+	}
+	br, err := NewBatchRunner(runners)
+	if err != nil {
+		for _, l := range lanes {
+			errs[l] = err
+		}
+		return runs, errs
+	}
+	ms, es := br.run()
+	for j, l := range lanes {
+		runs[l], errs[l] = ms[j], es[j]
+	}
+	return runs, errs
+}
+
+// run is the tick loop every simulation steps through. A lane that
+// fails in begin, in a tick's pre or at finish drops out of the control
+// loop with its error, as a finished lane drops out with its metrics.
+// No lane's panel arithmetic reads another lane (thermal.BatchModel),
+// so the rest keep their bits.
+func (b *BatchRunner) run() ([]*metrics.Run, []error) {
+	k := len(b.runners)
+	results := make([]*metrics.Run, k)
+	errs := make([]error, k)
 	states := make([]*tickState, k)
+	done := make([]bool, k)
+	active := k
+	seal := func(l int, m *metrics.Run, err error) {
+		results[l], errs[l], done[l] = m, err, true
+		active--
+	}
 	for l, r := range b.runners {
 		st, err := r.begin()
 		if err != nil {
-			return nil, laneErr(l, err)
+			seal(l, nil, err)
+			continue
 		}
 		states[l] = st
 	}
-	dt := states[0].dt
+	dt := b.runners[0].cfg.Policy.SamplePeriod
 
 	// Fuse the thermal advance where the exact step beats substepped
 	// RK4 on this machine (see thermal.PreferExact); otherwise each lane
@@ -99,38 +149,35 @@ func (b *BatchRunner) Run() ([]*metrics.Run, error) {
 		}
 		var err error
 		if batch, err = thermal.NewBatch(models, dt); err != nil {
-			return nil, fmt.Errorf("sim: batching thermal models: %w", err)
+			for l := range k {
+				if !done[l] {
+					seal(l, nil, fmt.Errorf("sim: batching thermal models: %w", err))
+				}
+			}
 		}
 	}
 
-	results := make([]*metrics.Run, k)
-	done := make([]bool, k)
-	active := k
 	for active > 0 {
 		for l, st := range states {
 			if done[l] {
 				continue
 			}
 			if st.done() {
-				res, err := st.finish()
-				if err != nil {
-					return nil, laneErr(l, err)
-				}
-				results[l] = res
-				done[l] = true
-				active--
+				m, err := st.finish()
+				seal(l, m, err)
 				continue
 			}
 			if err := st.pre(); err != nil {
-				return nil, laneErr(l, err)
+				seal(l, nil, err)
 			}
 		}
 		if active == 0 {
 			break
 		}
 		if batch != nil {
-			// Finished lanes ride along (their state keeps evolving, but
-			// their metrics are sealed); active lanes advance in lockstep.
+			// Finished and failed lanes ride along (their state keeps
+			// evolving, but their answers are sealed); active lanes
+			// advance in lockstep.
 			batch.Step()
 		} else {
 			for l, st := range states {
@@ -145,7 +192,7 @@ func (b *BatchRunner) Run() ([]*metrics.Run, error) {
 			}
 		}
 	}
-	return results, nil
+	return results, errs
 }
 
 // DefaultBatchSize is the widest lockstep batch the sweep and the
@@ -156,3 +203,40 @@ func (b *BatchRunner) Run() ([]*metrics.Run, error) {
 // ten lanes hold about 24 KiB of a typical 32 KiB L1d beside the
 // streamed propagator columns. Only a benchmark should move the value.
 func DefaultBatchSize() int { return 10 }
+
+// CutBatches groups lanes by key in first-seen order and cuts the
+// groups into batches of lane indices (cutGroups) for workers workers,
+// a resolved count of at least 1. It never depends on timing.
+func CutBatches(keys []BatchKey, workers int) [][]int {
+	groupOf := map[BatchKey]int{}
+	var groups [][]int
+	for i, k := range keys {
+		g, seen := groupOf[k]
+		if !seen {
+			g = len(groups)
+			groupOf[k] = g
+			groups = append(groups, nil)
+		}
+		groups[g] = append(groups[g], i)
+	}
+	return cutGroups(groups, DefaultBatchSize(), workers)
+}
+
+// cutGroups cuts each group of same-key lanes into batches of
+// consecutive lanes, in group order. A batch is at most width lanes
+// wide, and at most ceil(len(group)/workers), so one group spreads over
+// every worker instead of leaving some idle: three lanes on two workers
+// run as a two-lane and a one-lane batch, not one three-lane batch.
+// With one worker the cut is width-sized.
+func cutGroups(groups [][]int, width, workers int) [][]int {
+	var batches [][]int
+	for _, idx := range groups {
+		w := min(width, (len(idx)+workers-1)/workers)
+		for len(idx) > 0 {
+			n := min(len(idx), w)
+			batches = append(batches, idx[:n])
+			idx = idx[n:]
+		}
+	}
+	return batches
+}

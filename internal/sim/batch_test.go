@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"errors"
+	"slices"
+	"strings"
 	"testing"
 
 	"multitherm/internal/core"
@@ -166,6 +169,179 @@ func TestBatchRunnerRejectsMismatch(t *testing.T) {
 	}
 	if _, err := NewBatchRunner([]*Runner{a, c}); err == nil {
 		t.Error("mismatched thermal templates accepted")
+	}
+}
+
+// TestRunBatchAnswersPerLane runs one batch in which two lanes fail
+// beside healthy lanes of mixed policies, one of them migrating and one
+// ragged. Lane 1's constructor fails; lane 3 rounds to zero control
+// ticks and fails at finish, on the first pass. Every lane must answer
+// as a lone Runner.Run of it would: the healthy lanes bit for bit, the
+// constructor's error unchanged, the zero-tick lane with a lone run's
+// error text. No constructor may run twice.
+func TestRunBatchAnswersPerLane(t *testing.T) {
+	lanes := []batchLaneSpec{
+		{mix: "workload1", spec: core.PolicySpec{Mechanism: core.DVFS, Scope: core.Distributed}, simTime: 0.02},
+		{}, // its constructor fails
+		{mix: "workload8", spec: core.PolicySpec{Mechanism: core.DVFS, Scope: core.Distributed, Migration: core.CounterMigration}, simTime: 0.02},
+		{mix: "workload7", spec: core.PolicySpec{Mechanism: core.StopGo, Scope: core.Global}, simTime: 1e-6},
+		{mix: "workload2", spec: core.Baseline, simTime: 0.03},
+		{mix: "workload3", spec: core.PolicySpec{Mechanism: core.StopGo, Scope: core.Distributed}, simTime: 0.02},
+	}
+	const buildFails, zeroTicks = 1, 3
+	errBuild := errors.New("lane cannot build")
+
+	want := make([]*metrics.Run, len(lanes))
+	var wantZeroTicks error
+	for l, ls := range lanes {
+		if l == buildFails {
+			continue
+		}
+		m, err := newLaneRunner(t, ls).Run()
+		if l == zeroTicks {
+			if err == nil {
+				t.Fatal("a zero-tick run succeeded alone")
+			}
+			wantZeroTicks = err
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[l] = m
+	}
+
+	calls := make([]int, len(lanes))
+	runs, errs := RunBatch(len(lanes), func(l int) (*Runner, error) {
+		calls[l]++
+		if l == buildFails {
+			return nil, errBuild
+		}
+		return newLaneRunner(t, lanes[l]), nil
+	})
+	if len(runs) != len(lanes) || len(errs) != len(lanes) {
+		t.Fatalf("%d lanes answered with %d runs and %d errors", len(lanes), len(runs), len(errs))
+	}
+	for l, n := range calls {
+		if n != 1 {
+			t.Errorf("lane %d: constructor called %d times, want 1", l, n)
+		}
+	}
+	for l := range lanes {
+		switch l {
+		case buildFails:
+			if errs[l] != errBuild {
+				t.Errorf("lane %d: error %v, want the constructor's %v unchanged", l, errs[l], errBuild)
+			}
+		case zeroTicks:
+			if errs[l] == nil || errs[l].Error() != wantZeroTicks.Error() {
+				t.Errorf("lane %d: error %v, want a lone run's %q", l, errs[l], wantZeroTicks)
+			}
+		default:
+			if errs[l] != nil || runs[l] == nil {
+				t.Errorf("lane %d: run %v, error %v; want a run", l, runs[l], errs[l])
+				continue
+			}
+			requireRunsEqual(t, l, runs[l], want[l])
+			continue
+		}
+		if runs[l] != nil {
+			t.Errorf("lane %d failed but returned a run", l)
+		}
+	}
+
+	// Lanes that cannot share a propagator never run; each gets the
+	// mismatch error.
+	runs, errs = RunBatch(2, func(l int) (*Runner, error) {
+		cfg := quickCfg()
+		cfg.Policy.SamplePeriod *= units.Seconds(l + 1)
+		return New(cfg, mustMix(t, "workload1"), core.Baseline)
+	})
+	for l := range 2 {
+		if runs[l] != nil || errs[l] == nil || !strings.Contains(errs[l].Error(), "sample period") {
+			t.Errorf("mixed sample periods, lane %d: run %v, error %v; want the mismatch error", l, runs[l], errs[l])
+		}
+	}
+}
+
+// TestCutBatches pins the batch cut: consecutive lanes in group order,
+// no batch wider than the given width, and each group spread over
+// every worker. CutBatches groups by key in first-seen order.
+func TestCutBatches(t *testing.T) {
+	seq := func(from, n int) []int {
+		out := make([]int, n)
+		for i := range out {
+			out[i] = from + i
+		}
+		return out
+	}
+	widths := func(batches [][]int) []int {
+		var out []int
+		for _, b := range batches {
+			out = append(out, len(b))
+		}
+		return out
+	}
+	// cut is the width-only cut: n cells in w-lane batches and a tail.
+	cut := func(n, w int) []int {
+		var out []int
+		for ; n > 0; n -= w {
+			out = append(out, min(n, w))
+		}
+		return out
+	}
+	def := DefaultBatchSize()
+	for _, tc := range []struct {
+		name           string
+		groups         [][]int
+		width, workers int
+		want           []int // batch widths, in order
+	}{
+		// The manycore grid's three cells on two CPUs: a two-lane and a
+		// one-lane task instead of one three-lane task.
+		{"3 cells, 2 workers", [][]int{seq(0, 3)}, def, 2, []int{2, 1}},
+		// Plenty of cells: the cache-sized width still caps every batch.
+		{"96 cells, 2 workers", [][]int{seq(0, 96)}, def, 2, cut(96, def)},
+		// One worker keeps the width-only cut.
+		{"1 worker", [][]int{seq(0, 23)}, def, 1, cut(23, def)},
+		{"1 worker, 3 cells", [][]int{seq(0, 3)}, def, 1, []int{3}},
+		// A narrower width caps below the per-worker share.
+		{"explicit width", [][]int{seq(0, 12)}, 4, 2, []int{4, 4, 4}},
+		{"width 1", [][]int{seq(0, 3)}, 1, 2, []int{1, 1, 1}},
+		// Each group is cut on its own, in first-seen order.
+		{"two groups", [][]int{seq(0, 12), seq(12, 3)}, 10, 2, []int{6, 6, 2, 1}},
+		{"more workers than cells", [][]int{seq(0, 3)}, def, 8, []int{1, 1, 1}},
+	} {
+		got := cutGroups(tc.groups, tc.width, tc.workers)
+		if w := widths(got); !slices.Equal(w, tc.want) {
+			t.Errorf("%s: batch widths %v, want %v", tc.name, w, tc.want)
+		}
+		var flat, want []int
+		for _, b := range got {
+			flat = append(flat, b...)
+		}
+		for _, g := range tc.groups {
+			want = append(want, g...)
+		}
+		if !slices.Equal(flat, want) {
+			t.Errorf("%s: batches %v do not cover the groups' cells in order", tc.name, got)
+		}
+	}
+
+	// Interleaved keys A, B, A: A's group comes first because A is seen
+	// first, and holds lanes 0 and 2.
+	a, b := BatchKey{dt: 1}, BatchKey{dt: 2}
+	for _, tc := range []struct {
+		workers int
+		want    [][]int
+	}{
+		{1, [][]int{{0, 2}, {1}}},
+		{2, [][]int{{0}, {2}, {1}}},
+	} {
+		got := CutBatches([]BatchKey{a, b, a}, tc.workers)
+		if !slices.EqualFunc(got, tc.want, slices.Equal) {
+			t.Errorf("CutBatches(A, B, A) at %d workers = %v, want %v", tc.workers, got, tc.want)
+		}
 	}
 }
 

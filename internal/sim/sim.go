@@ -335,11 +335,8 @@ func (r *Runner) finalizeShared(activity, shared []float64) {
 // lone run is a one-lane BatchRunner: the same tick loop and the same
 // thermal step as every batched lane.
 func (r *Runner) Run() (*metrics.Run, error) {
-	ms, err := (&BatchRunner{runners: []*Runner{r}}).Run()
-	if err != nil {
-		return nil, err
-	}
-	return ms[0], nil
+	ms, errs := (&BatchRunner{runners: []*Runner{r}}).run()
+	return ms[0], errs[0]
 }
 
 // tickState is the per-run loop state of one simulation. BatchRunner

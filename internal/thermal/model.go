@@ -557,15 +557,6 @@ func (m *Model) SetUniform(t units.Celsius) {
 	}
 }
 
-// TotalCapacitance returns Σ C_i in J/K, used by energy-conservation tests.
-func (t *Template) TotalCapacitance() float64 {
-	var s float64
-	for _, c := range t.cap {
-		s += c
-	}
-	return s
-}
-
 // ConductanceMatrix assembles the dense symmetric conductance matrix G
 // where G[i][i] = Σ_j g_ij + gAmbient_i and G[i][j] = −g_ij. It is the
 // left-hand side of the steady-state system G·T = P + gAmb·T_amb.
