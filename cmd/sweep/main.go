@@ -7,7 +7,7 @@
 //	sweep -only table5    # one artifact
 //	sweep -quick          # reduced fidelity (0.1 s sims) for a fast look
 //	sweep -list           # list artifacts
-//	sweep -simtime 0.25   # custom simulated silicon time
+//	sweep -simtime 0.25   # custom simulated silicon time (at least half a control period)
 //	sweep -workers 8      # fan (policy, workload) cells across 8 workers
 //	sweep -floorplan 16x16 -only manycore   # 256-core generated grid
 //
@@ -21,6 +21,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -29,6 +30,7 @@ import (
 	"multitherm/internal/experiments"
 	"multitherm/internal/floorplan"
 	"multitherm/internal/parallel"
+	"multitherm/internal/sim"
 	"multitherm/internal/units"
 )
 
@@ -36,7 +38,8 @@ func main() {
 	only := flag.String("only", "", "reproduce a single artifact (e.g. table5, fig3)")
 	quick := flag.Bool("quick", false, "reduced-fidelity simulations")
 	list := flag.Bool("list", false, "list reproducible artifacts and exit")
-	simtime := flag.Float64("simtime", 0, "simulated silicon time per run in seconds (default 0.5)")
+	minSimTime := float64(sim.DefaultConfig().MinSimTime())
+	simtime := flag.Float64("simtime", 0, fmt.Sprintf("simulated silicon time per run in seconds (default 0.5); at least half a control period, %g s", minSimTime))
 	workersFlag := flag.Int("workers", 0, "worker count for the simulation cells and Table 1's ranging rows (0 = all CPUs, 1 = sequential; results identical at any count)")
 	ablations := flag.Bool("ablations", false, "also run the beyond-the-paper extension/ablation artifacts")
 	gridFlag := flag.String("floorplan", "", "generated grid for the manycore artifact, as RxC (e.g. 16x16 for 256 cores)")
@@ -44,6 +47,14 @@ func main() {
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile (taken at exit) to this file")
 	flag.Parse()
+
+	// A simulated time under half a control period runs no control
+	// tick, and a negative, NaN or infinite one is no duration: refuse
+	// both before any artifact builds a cell.
+	if *simtime != 0 && !(*simtime >= minSimTime && *simtime <= math.MaxFloat64) {
+		fmt.Fprintf(os.Stderr, "sweep: -simtime %v is neither 0 (the default) nor a finite time of at least half a control period (%g s)\n", *simtime, minSimTime)
+		os.Exit(2)
+	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -87,7 +98,7 @@ func main() {
 	if *quick {
 		opt = experiments.QuickOptions()
 	}
-	if *simtime > 0 {
+	if *simtime != 0 {
 		opt.SimTime = units.Seconds(*simtime)
 	}
 	opt.Parallelism = *workersFlag

@@ -6,12 +6,14 @@
 //
 //	thermalsim -workload workload7 -policy dist-dvfs
 //	thermalsim -workload workload3 -policy dist-stopgo+counter -timeline
+//	thermalsim -simtime 0.1   # at least half a control period; 0 keeps 0.5 s
 //	thermalsim -list
 package main
 
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 
@@ -34,13 +36,23 @@ const (
 func main() {
 	wl := flag.String("workload", "workload7", "workload mix name (see -list)")
 	policy := flag.String("policy", "dist-dvfs", "policy cell (see -list)")
-	simtime := flag.Float64("simtime", 0.5, "simulated silicon time, seconds")
+	cfg := multitherm.DefaultConfig()
+	minSimTime := float64(cfg.MinSimTime())
+	simtime := flag.Float64("simtime", float64(cfg.SimTime), fmt.Sprintf("simulated silicon time, seconds (0 keeps the default); at least half a control period, %g s", minSimTime))
 	threshold := flag.Float64("threshold", 84.2, "thermal emergency threshold, °C")
 	timeline := flag.Bool("timeline", false, "print a per-core timeline every 2 ms")
 	unthrottled := flag.Bool("unthrottled", false, "disable DTM (reference run)")
 	list := flag.Bool("list", false, "list workloads and policies, then exit")
 	showFloorplan := flag.Bool("floorplan", false, "print the die floorplan, then exit")
 	flag.Parse()
+
+	// A simulated time under half a control period runs no control
+	// tick, and a negative, NaN or infinite one is no duration: refuse
+	// both before the run.
+	if *simtime != 0 && !(*simtime >= minSimTime && *simtime <= math.MaxFloat64) {
+		fmt.Fprintf(os.Stderr, "thermalsim: -simtime %v is neither 0 (the default) nor a finite time of at least half a control period (%g s)\n", *simtime, minSimTime)
+		os.Exit(2)
+	}
 
 	if *showFloorplan {
 		fmt.Print(floorplan.CMP4().Render(72))
@@ -59,8 +71,9 @@ func main() {
 		return
 	}
 
-	cfg := multitherm.DefaultConfig()
-	cfg.SimTime = units.Seconds(*simtime)
+	if *simtime != 0 {
+		cfg.SimTime = units.Seconds(*simtime)
+	}
 	cfg.Policy.ThresholdC = units.Celsius(*threshold)
 
 	mix, err := workload.MixByName(*wl)

@@ -68,16 +68,7 @@ func (b *baniasRig) meanActivity(name string) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	var mean uarch.Sample
-	for i := 0; i < tr.Len(); i++ {
-		s := tr.At(int64(i))
-		for k, v := range s.Activity {
-			mean.Activity[k] += v
-		}
-	}
-	for k := range mean.Activity {
-		mean.Activity[k] /= float64(tr.Len())
-	}
+	mean := tr.MeanActivity()
 	act := make([]float64, len(b.fp.Blocks))
 	for i, blk := range b.fp.Blocks {
 		act[i] = mean.ActivityFor(blk.Kind)

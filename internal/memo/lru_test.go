@@ -49,6 +49,20 @@ func TestLRUEvictsStalest(t *testing.T) {
 	if s := c.Stats(); s.Evictions != 1 || s.Entries != 3 {
 		t.Fatalf("stats = %+v", s)
 	}
+
+	// The Gets above left 1 the stalest. Replacing its value makes it
+	// the most recently used, so the next insert evicts 3 instead.
+	c.Put(1, 11)
+	c.Put(5, 50)
+	if _, ok := c.Get(3); ok {
+		t.Fatal("entry 3 survived; replacing 1 did not refresh its recency")
+	}
+	if v, ok := c.Get(1); !ok || v != 11 {
+		t.Fatalf("Get(1) after replace = (%d, %v), want (11, true)", v, ok)
+	}
+	if s := c.Stats(); s.Evictions != 2 || s.Entries != 3 {
+		t.Fatalf("stats = %+v", s)
+	}
 }
 
 func TestLRUDisabled(t *testing.T) {
@@ -74,12 +88,59 @@ func TestLRUFlush(t *testing.T) {
 	if _, ok := c.Get(3); ok {
 		t.Fatal("entry survived flush")
 	}
+
+	// Flush drops entries only: hits, misses and evictions survive it.
+	for i := 0; i < 10; i++ {
+		c.Put(i, i) // 10 keys into 8 slots: 2 evictions
+	}
+	c.Get(9)
+	before := c.Stats()
+	if before.Hits != 1 || before.Misses != 1 || before.Evictions != 2 {
+		t.Fatalf("stats before the second flush = %+v", before)
+	}
+	if n := c.Flush(); n != 8 {
+		t.Fatalf("Flush dropped %d entries, want 8", n)
+	}
+	after := c.Stats()
+	before.Entries = 0
+	if after != before {
+		t.Fatalf("stats after flush = %+v, want %+v", after, before)
+	}
+}
+
+// TestLRUAllocations pins the cost of the serve path's two calls in a
+// full cache. Get allocates nothing, hit or miss; mtlint's zeroalloc
+// marker on Get cannot show it, because a generic body compiles only
+// where it is instantiated. A Put of a new key allocates its list
+// element and entry, and evicting the oldest allocates nothing; a Put
+// that copied the whole map would allocate every bucket again.
+func TestLRUAllocations(t *testing.T) {
+	const capacity = 4096
+	c := NewLRU[int, int](capacity)
+	for i := 0; i < capacity; i++ {
+		c.Put(i, i)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { c.Get(17); c.Get(-1) }); allocs != 0 {
+		t.Errorf("a Get hit and a Get miss allocate %v objects, want 0", allocs)
+	}
+	next := capacity
+	allocs := testing.AllocsPerRun(100, func() {
+		c.Put(next, next)
+		next++
+	})
+	if allocs > 2 {
+		t.Fatalf("Put of a new key into a full %d-entry cache allocates %v objects, want at most 2", capacity, allocs)
+	}
+	if s := c.Stats(); s.Entries != capacity || s.Evictions != 101 {
+		t.Fatalf("stats = %+v, want %d entries and 101 evictions", s, capacity)
+	}
 }
 
 // TestLRUConcurrent hammers a small cache from many goroutines so the
-// race detector can see the snapshot-load / entry-touch / copy-on-write
-// interleavings. Every value is a pure function of its key, so any hit
-// must return the key's own value regardless of eviction pressure.
+// race detector can see Gets, Puts and evictions interleave on the map
+// and the recency list. Every value is a pure function of its key, so
+// any hit must return the key's own value regardless of eviction
+// pressure.
 func TestLRUConcurrent(t *testing.T) {
 	c := NewLRU[int, int](16)
 	var wg sync.WaitGroup
@@ -106,9 +167,8 @@ func TestLRUConcurrent(t *testing.T) {
 
 	// Distinct keys that exactly fill the cache: nothing is evicted, so
 	// every concurrent insert must survive and read back. A Put that
-	// copies and publishes the snapshot without the writer lock loses
-	// inserts; one that writes the published snapshot in place races
-	// the other goroutines' Gets.
+	// writes the map or the list without the lock races the other
+	// goroutines' Gets and Puts, and can lose inserts.
 	full := NewLRU[int, int](800)
 	start := make(chan struct{})
 	for g := 0; g < 8; g++ {

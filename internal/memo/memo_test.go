@@ -96,7 +96,7 @@ func TestFirstStoreWins(t *testing.T) {
 
 // TestConcurrentMixedUse hammers readers and writers over disjoint and
 // shared keys; run under -race this is the memory-model check for the
-// copy-on-write publish.
+// mutex-guarded store.
 func TestConcurrentMixedUse(t *testing.T) {
 	var m Map[int, int]
 	const keys = 32

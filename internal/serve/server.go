@@ -55,19 +55,12 @@ type Config struct {
 	// MaxInflightCells is the admission watermark: once this many cells
 	// are queued or running, new work is shed with 429. 0 selects 1024.
 	MaxInflightCells int
-	// DefaultSimTimeS is the simulated time for requests that omit it;
-	// 0 selects 0.05 s.
-	DefaultSimTimeS float64
 	// MaxSimTimeS caps per-cell simulated time; 0 selects 2 s.
 	MaxSimTimeS float64
 }
 
-func (c Config) defaultSimTime() float64 {
-	if c.DefaultSimTimeS > 0 {
-		return c.DefaultSimTimeS
-	}
-	return 0.05
-}
+// defaultSimTimeS is the simulated time for requests that omit it.
+const defaultSimTimeS = 0.05
 
 func (c Config) maxSimTime() float64 {
 	if c.MaxSimTimeS > 0 {

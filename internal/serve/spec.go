@@ -88,10 +88,11 @@ func (c *cell) newRunner() (*sim.Runner, error) {
 	return sim.New(c.cfg, c.mix, c.policy)
 }
 
-// minSimTimeS is half the control period both cell kinds inherit from
-// sim.DefaultConfig(). A shorter simulated time rounds to zero control
-// ticks, a run that would fail on the pool rather than at decode.
-var minSimTimeS = float64(sim.DefaultConfig().Policy.SamplePeriod) / 2
+// minSimTimeS is the MinSimTime of sim.DefaultConfig(), whose control
+// period both cell kinds inherit. A shorter simulated time rounds to
+// zero control ticks, a run that would fail on the pool rather than at
+// decode.
+var minSimTimeS = float64(sim.DefaultConfig().MinSimTime())
 
 // resolveSimTime validates the wire simulated time against the server
 // limits, resolving the zero "inherit" sentinel.
@@ -101,7 +102,7 @@ func (s *Server) resolveSimTime(reqSimTime, defaultSimTime float64) (float64, er
 		simTime = defaultSimTime
 	}
 	if simTime == 0 {
-		simTime = s.cfg.defaultSimTime()
+		simTime = defaultSimTimeS
 	}
 	if simTime < 0 || math.IsNaN(simTime) || math.IsInf(simTime, 0) {
 		return 0, fmt.Errorf("serve: simtime_s %v is not a positive duration", reqSimTime)

@@ -19,9 +19,9 @@ import (
 // build in a parallel sweep. Both caches hold values that are
 // strictly read-only after insertion — recorded traces (each runner
 // walks a shared Trace through its own Cursor) and warmup temperature
-// vectors (installed by copy) — so the copy-on-write memo.Map gives
-// lock-free, contention-free sharing across concurrently constructed
-// runners: every hit is one atomic load on an immutable snapshot.
+// vectors (installed by copy) — so concurrently constructed runners
+// share them through a memo.Map, looked up before the tick loop and
+// never in it.
 
 // traceKey identifies one recorded benchmark trace. uarch.Config is a
 // flat comparable struct, so the key works directly as a map key.

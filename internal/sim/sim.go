@@ -70,6 +70,11 @@ func DefaultConfig() Config {
 	}
 }
 
+// MinSimTime is half the control period: the shortest SimTime that runs
+// one control tick, since a run's tick count rounds SimTime/period to
+// the nearest integer.
+func (c Config) MinSimTime() units.Seconds { return c.Policy.SamplePeriod / 2 }
+
 // GridConfig wires the paper-default configuration onto a generated
 // many-core grid, the setup the manycore extension and the server's
 // grid cells share: the grid floorplan, thermal parameters refitted to
@@ -255,17 +260,7 @@ func (r *Runner) averageTracePower() units.PowerVec {
 	activity := make([]float64, nb)
 	shared := make([]float64, nb)
 	for c := 0; c < r.nCores; c++ {
-		tr := r.cursors[c].Trace()
-		var mean uarch.Sample
-		for i := 0; i < tr.Len(); i++ {
-			s := tr.At(int64(i))
-			for k, v := range s.Activity {
-				mean.Activity[k] += v
-			}
-		}
-		for k := range mean.Activity {
-			mean.Activity[k] /= float64(tr.Len())
-		}
+		mean := r.cursors[c].Trace().MeanActivity()
 		// The warmup estimate sees each core at the fastest it can
 		// actually run: capped cores (heterogeneous chips) issue
 		// correspondingly less shared-structure traffic.

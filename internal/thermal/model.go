@@ -170,9 +170,8 @@ type Template struct {
 	hMax float64
 
 	// discCache memoizes exact ZOH discretizations keyed by dt; see
-	// Template.Discretization. Copy-on-write: a lookup on the sweep's
-	// hot construction path is one atomic load, with no contention
-	// against concurrent first-builds of other step sizes.
+	// Template.Discretization. First builds of different step sizes run
+	// in parallel, outside the memo's lock.
 	discCache memo.Map[float64, *Discretization]
 }
 
@@ -297,9 +296,8 @@ var templates memo.Map[templateKey, *Template]
 
 // TemplateFor returns the memoized template for (floorplan, params),
 // building it on first use. Concurrent callers may race to build the
-// same template; exactly one wins and is shared thereafter. The cache
-// is copy-on-write, so the per-cell lookup every simulation makes is a
-// single atomic load with nothing to contend on.
+// same template; exactly one wins and is shared thereafter. Lookups
+// happen while runners and batches are built, never per tick.
 func TemplateFor(fp *floorplan.Floorplan, p Params) (*Template, error) {
 	return templates.LoadOrStore(templateKey{fp: fp, p: p}, func() (*Template, error) {
 		return NewTemplate(fp, p)

@@ -66,6 +66,22 @@ func (t *Trace) MeanInstructionsPerSample() float64 {
 	return s / float64(len(t.Samples))
 }
 
+// MeanActivity returns a sample whose activity is the per-kind mean of
+// the trace's samples, summed in sample order; its other fields are
+// zero. Warmup and the Banias rig's steady states heat the die with it.
+func (t *Trace) MeanActivity() uarch.Sample {
+	var mean uarch.Sample
+	for i := range t.Samples {
+		for k, v := range t.Samples[i].Activity {
+			mean.Activity[k] += v
+		}
+	}
+	for k := range mean.Activity {
+		mean.Activity[k] /= float64(len(t.Samples))
+	}
+	return mean
+}
+
 // Validate checks structural invariants.
 func (t *Trace) Validate() error {
 	if t.Benchmark == "" {

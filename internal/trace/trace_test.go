@@ -192,3 +192,24 @@ func TestMeanInstructions(t *testing.T) {
 		t.Errorf("mean = %v, want 100", got)
 	}
 }
+
+// TestMeanActivity pins MeanActivity's bits against the sum written
+// out by hand, in sample order, on a short recorded trace: warmup
+// states and Table 1 depend on that order.
+func TestMeanActivity(t *testing.T) {
+	tr := testTrace(t, 3)
+	s := tr.Samples
+	mean := tr.MeanActivity()
+	for k := range mean.Activity {
+		want := (s[0].Activity[k] + s[1].Activity[k] + s[2].Activity[k]) / 3
+		if mean.Activity[k] != want {
+			t.Errorf("activity[%d] = %v, want %v", k, mean.Activity[k], want)
+		}
+	}
+	if mean.Activity == s[0].Activity {
+		t.Error("mean equals the first sample; the trace does not vary")
+	}
+	if mean.Instructions != 0 {
+		t.Errorf("Instructions = %v, want 0", mean.Instructions)
+	}
+}
