@@ -1,6 +1,7 @@
 // Command thermald serves multitherm simulations over HTTP: sharded
 // across a persistent worker pool, coalesced into cross-request GEMM
-// batches, and fronted by a content-addressed result cache.
+// batches, and fronted by a result cache keyed by each cell's
+// normalized spec, so every spelling of one cell shares an entry.
 //
 // A batch holds up to sim.DefaultBatchSize() cells, the sweep engine's
 // lane count; -window sets how long a lone cell waits for batchmates,

@@ -62,6 +62,32 @@ func Total(xs []float64) float64 {
 	return s
 }
 
+// Max is marked and clean, but generic: its body compiles only where
+// it is instantiated, so the escape output cannot vouch for it.
+//
+//mtlint:zeroalloc
+func Max[T int | float64](xs []T) T { // want `cannot check generic function Max`
+	var m T
+	for _, v := range xs {
+		m = max(m, v)
+	}
+	return m
+}
+
+// Ring is a generic type whose marked method cannot be checked either.
+type Ring[T any] struct {
+	buf  []T
+	next int
+}
+
+// Put is marked and clean, but its receiver is generic.
+//
+//mtlint:zeroalloc
+func (r *Ring[T]) Put(v T) { // want `cannot check generic function Put`
+	r.buf[r.next] = v
+	r.next = (r.next + 1) % len(r.buf)
+}
+
 // Extend appends but is unmarked, so it is not the analyzer's business.
 func Extend(dst []float64, v float64) []float64 {
 	return append(dst, v)

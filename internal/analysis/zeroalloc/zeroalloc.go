@@ -20,6 +20,12 @@
 // never reports. So the analyzer also walks each marked body and flags
 // every call to the builtin append, resolved through the type
 // information so that a local function of that name is left alone.
+//
+// A generic body has no escape lines of its own: the compiler builds
+// it only where it is instantiated, so -m reports its allocations, if
+// at all, against the instantiating package. A marked generic function
+// or method of a generic type is therefore reported as uncheckable;
+// such a body is pinned with testing.AllocsPerRun instead.
 package zeroalloc
 
 import (
@@ -53,6 +59,7 @@ type markedFunc struct {
 	declPos   token.Pos
 	fileIndex int
 	body      *ast.BlockStmt
+	generic   bool // has type parameters, or a generic receiver
 }
 
 func run(pass *driver.Pass) error {
@@ -62,6 +69,9 @@ func run(pass *driver.Pass) error {
 		return nil
 	}
 	for _, fn := range marked {
+		if fn.generic {
+			pass.Reportf(fn.declPos, "cannot check generic function %s: -gcflags=-m compiles it only where it is instantiated; pin it with testing.AllocsPerRun", fn.name)
+		}
 		reportAppends(pass, fn)
 	}
 	// Build to a scratch file so analyzing a main package never drops
@@ -101,6 +111,7 @@ func collectMarked(pkg *driver.Package) []markedFunc {
 			if !ok || fn.Body == nil || !driver.FuncMarked(fn, Marker) {
 				continue
 			}
+			sig := pkg.TypesInfo.Defs[fn.Name].Type().(*types.Signature)
 			out = append(out, markedFunc{
 				name:      fn.Name.Name,
 				file:      base,
@@ -109,6 +120,7 @@ func collectMarked(pkg *driver.Package) []markedFunc {
 				declPos:   fn.Pos(),
 				fileIndex: i,
 				body:      fn.Body,
+				generic:   sig.TypeParams().Len() > 0 || sig.RecvTypeParams().Len() > 0,
 			})
 		}
 	}

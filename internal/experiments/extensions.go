@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"multitherm/internal/control"
 	"multitherm/internal/core"
@@ -234,6 +235,7 @@ type MultiprocResult struct {
 	Migrations  []int
 	FairnessMin []float64 // smallest process share of the largest
 	Worst       []units.Celsius
+	Emergency   []units.Seconds // time any block spent over the threshold
 }
 
 // RunMultiproc evaluates DTM policies under time-shared
@@ -276,6 +278,7 @@ func RunMultiproc(o Options) (*MultiprocResult, error) {
 		out.Migrations = append(out.Migrations, m.Migrations)
 		out.FairnessMin = append(out.FairnessMin, fair)
 		out.Worst = append(out.Worst, m.MaxTempC)
+		out.Emergency = append(out.Emergency, m.EmergencySeconds)
 	}
 	return out, nil
 }
@@ -293,5 +296,45 @@ func (m *MultiprocResult) Render() string {
 			fmt.Sprintf("%.2f", m.FairnessMin[i]),
 			fmt.Sprintf("%.2f °C", m.Worst[i]))
 	}
-	return t.String() + "The round-robin fairness rotation and the thermal policies compose:\nno starvation, no emergencies, and DVFS keeps its advantage.\n"
+	return t.String() + m.conclusion()
+}
+
+// conclusion states only what the rows support: no starvation when
+// the rotation reached every process in every row (a preemption and a
+// nonzero fairness share), no emergencies when no row spent time over
+// the threshold, and DVFS keeping its advantage when every DVFS row
+// beats every stop-go row in BIPS.
+func (m *MultiprocResult) conclusion() string {
+	rotated, calm, ahead := true, true, true
+	for i, a := range m.Specs {
+		rotated = rotated && m.Preemptions[i] > 0 && m.FairnessMin[i] > 0
+		calm = calm && m.Emergency[i] == 0
+		for j, b := range m.Specs {
+			if a.Mechanism == core.DVFS && b.Mechanism == core.StopGo {
+				ahead = ahead && m.BIPS[i] > m.BIPS[j]
+			}
+		}
+	}
+	var holds []string
+	if rotated {
+		holds = append(holds, "no starvation")
+	}
+	if calm {
+		holds = append(holds, "no emergencies")
+	}
+	if ahead {
+		holds = append(holds, "DVFS keeps its advantage")
+	}
+	out := "The round-robin fairness rotation and the thermal policies compose:\n"
+	if !rotated {
+		out = "The round-robin rotation did not reach every process inside the run, so starvation is untested.\n"
+		if len(holds) == 0 {
+			return out
+		}
+		out += "The thermal policies alone: "
+	}
+	if n := len(holds); n > 2 {
+		holds = []string{strings.Join(holds[:n-1], ", ") + ",", holds[n-1]}
+	}
+	return out + strings.Join(holds, " and ") + ".\n"
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"multitherm/internal/core"
+	"multitherm/internal/units"
 )
 
 func TestExtensionRegistry(t *testing.T) {
@@ -153,6 +154,50 @@ func TestEpochAblationQuick(t *testing.T) {
 	for i, b := range r.BIPS {
 		if b <= 0 {
 			t.Errorf("epoch %s produced zero throughput", r.Labels[i])
+		}
+	}
+}
+
+// TestMultiprocConclusionFollowsRows flips each claim of the multiproc
+// conclusion on hand-built rows: a clause prints only while every row
+// supports it.
+func TestMultiprocConclusionFollowsRows(t *testing.T) {
+	const (
+		all     = "The round-robin fairness rotation and the thermal policies compose:\nno starvation, no emergencies, and DVFS keeps its advantage.\n"
+		still   = "The round-robin rotation did not reach every process inside the run, so starvation is untested.\n"
+		unrated = still + "The thermal policies alone: no emergencies and DVFS keeps its advantage.\n"
+	)
+	for _, tc := range []struct {
+		name string
+		edit func(m *MultiprocResult)
+		want string
+	}{
+		{"every claim holds", func(m *MultiprocResult) {}, all},
+		{"a row without preemption", func(m *MultiprocResult) { m.Preemptions[2] = 0 }, unrated},
+		{"a process that never ran", func(m *MultiprocResult) { m.FairnessMin[0] = 0 }, unrated},
+		{"an emergency", func(m *MultiprocResult) { m.Emergency[1] = 1e-3 },
+			"The round-robin fairness rotation and the thermal policies compose:\nno starvation and DVFS keeps its advantage.\n"},
+		{"a DVFS row level with stop-go", func(m *MultiprocResult) { m.BIPS[2] = m.BIPS[0] },
+			"The round-robin fairness rotation and the thermal policies compose:\nno starvation and no emergencies.\n"},
+		{"no claim holds", func(m *MultiprocResult) { m.Preemptions[0], m.Emergency[0], m.BIPS[1] = 0, 1e-3, 1 }, still},
+	} {
+		m := &MultiprocResult{
+			Specs: []core.PolicySpec{
+				core.Baseline,
+				{Mechanism: core.DVFS, Scope: core.Distributed},
+				{Mechanism: core.DVFS, Scope: core.Distributed, Migration: core.SensorMigration},
+			},
+			BIPS:        []units.BIPS{7.4, 14.4, 14.9},
+			Duty:        []units.ScaleFactor{0.45, 0.76, 0.78},
+			Preemptions: []int{24, 24, 24},
+			Migrations:  []int{0, 0, 2},
+			FairnessMin: []float64{0.36, 0.72, 0.5},
+			Worst:       []units.Celsius{83.9, 83, 83.1},
+			Emergency:   []units.Seconds{0, 0, 0},
+		}
+		tc.edit(m)
+		if got := m.Render(); !strings.HasSuffix(got, "\n"+tc.want) {
+			t.Errorf("%s: render ends\n%s\nwant it to end\n%s", tc.name, got[strings.LastIndex(got, "°C"):], tc.want)
 		}
 	}
 }

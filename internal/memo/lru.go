@@ -9,9 +9,10 @@ import (
 // list, both under one mutex, so Get, Put and eviction are O(1).
 //
 // Unlike Map, an LRU is sized at construction and keeps hit / miss /
-// eviction counters: it fronts content-addressed result stores whose
-// working set is open-ended (every distinct request spec is a new
-// key), where Map's grow-only store would leak without bound.
+// eviction counters: it fronts result stores whose working set is
+// open-ended (thermald keys each finished cell by its normalized
+// request spec, and every distinct spec is a new key), where Map's
+// grow-only store would leak without bound.
 //
 // Eviction order depends on observed access order and is therefore not
 // deterministic under concurrency — which is exactly why an LRU may
@@ -42,9 +43,8 @@ func NewLRU[K comparable, V any](capacity int) *LRU[K, V] {
 }
 
 // Get returns the value cached under k and marks it most recently
-// used. The miss/hit counters are updated either way.
-//
-//mtlint:zeroalloc
+// used. The miss/hit counters are updated either way. It allocates
+// nothing, hit or miss (TestLRUAllocations).
 func (c *LRU[K, V]) Get(k K) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -110,10 +110,11 @@ func TestLRUFlush(t *testing.T) {
 
 // TestLRUAllocations pins the cost of the serve path's two calls in a
 // full cache. Get allocates nothing, hit or miss; mtlint's zeroalloc
-// marker on Get cannot show it, because a generic body compiles only
-// where it is instantiated. A Put of a new key allocates its list
-// element and entry, and evicting the oldest allocates nothing; a Put
-// that copied the whole map would allocate every bucket again.
+// cannot check it, because a generic body compiles only where it is
+// instantiated, so this test is Get's only allocation gate. A Put of a
+// new key allocates its list element and entry, and evicting the
+// oldest allocates nothing; a Put that copied the whole map would
+// allocate every bucket again.
 func TestLRUAllocations(t *testing.T) {
 	const capacity = 4096
 	c := NewLRU[int, int](capacity)

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -93,9 +94,9 @@ func TestSimRejectsBadSpecs(t *testing.T) {
 	}
 }
 
-// TestCacheHitReplaysExactBytes proves the content-addressed cache
-// stores and replays the canonical response verbatim, and that the
-// counters see the traffic.
+// TestCacheHitReplaysExactBytes proves the result cache stores and
+// replays the canonical response verbatim, and that the counters see
+// the traffic.
 func TestCacheHitReplaysExactBytes(t *testing.T) {
 	s, ts := newTestServer(t, Config{CacheEntries: 16})
 	cold := mustPost(t, ts.URL+"/v1/sim", testSimBody)
@@ -106,6 +107,67 @@ func TestCacheHitReplaysExactBytes(t *testing.T) {
 	st := s.cache.Stats()
 	if st.Hits < 1 || st.Misses < 1 || st.Entries != 1 {
 		t.Fatalf("cache stats %+v: want >=1 hit, >=1 miss, exactly 1 entry", st)
+	}
+}
+
+// TestSpellingsShareOneCacheEntry holds the cache to the normalized
+// spec: spellings of one cell, over /v1/sim or as a one-cell
+// /v1/sweep, share one entry and answer the same bytes, while a spec
+// that differs in one field adds an entry.
+func TestSpellingsShareOneCacheEntry(t *testing.T) {
+	s, ts := newTestServer(t, Config{CacheEntries: 16})
+	wantStats := func(entries, hits int) {
+		t.Helper()
+		if st := s.cache.Stats(); st.Entries != entries || st.Hits != int64(hits) {
+			t.Fatalf("cache stats %+v: want %d entries and %d hits", st, entries, hits)
+		}
+	}
+
+	first := mustPost(t, ts.URL+"/v1/sim", `{"workload":"workload1","policy":"dist-dvfs"}`)
+	respelled := mustPost(t, ts.URL+"/v1/sim", `{"workload":" workload1 ","policy":" DIST-DVFS ","simtime_s":0.05}`)
+	if !bytes.Equal(respelled, first) {
+		t.Fatalf("respelled cell diverged:\nfirst:     %s\nrespelled: %s", first, respelled)
+	}
+	swept := mustPost(t, ts.URL+"/v1/sweep", `{"cells":[{"workload":"workload1","policy":"dist-dvfs"}]}`)
+	if want := `{"cells":[` + string(first) + `]}`; string(swept) != want {
+		t.Fatalf("one-cell sweep answered\n%s\nwant\n%s", swept, want)
+	}
+	wantStats(1, 2)
+
+	const grid = `{"floorplan":%q,"policy":%q,"simtime_s":%v}`
+	padded := mustPost(t, ts.URL+"/v1/sim", fmt.Sprintf(grid, "04x4", "dist-dvfs", 0.002))
+	if got := mustPost(t, ts.URL+"/v1/sim", fmt.Sprintf(grid, " 4x4 ", "dist-dvfs", 0.002)); !bytes.Equal(got, padded) {
+		t.Fatalf("grid spellings diverged:\n04x4:   %s\n 4x4 : %s", padded, got)
+	}
+	wantStats(2, 3)
+	for i, body := range []string{
+		fmt.Sprintf(grid, "4x2", "dist-dvfs", 0.002),
+		fmt.Sprintf(grid, "4x4", "dist-stopgo", 0.002),
+		fmt.Sprintf(grid, "4x4", "dist-dvfs", 0.003),
+		`{"workload":"workload2","policy":"dist-dvfs"}`,
+	} {
+		mustPost(t, ts.URL+"/v1/sim", body)
+		wantStats(3+i, 3)
+	}
+}
+
+// TestClosedServerFailsUncachedCells checks the failure answers of a
+// cell the pool refuses: once Close has drained the server, an
+// uncached /v1/sim answers 500 naming the drain, a sweep's 500 names
+// the cell too, and every admitted cell is released.
+func TestClosedServerFailsUncachedCells(t *testing.T) {
+	s, ts := newTestServer(t, Config{CacheEntries: 16})
+	s.Close()
+	for _, tc := range []struct{ path, body, want string }{
+		{"/v1/sim", testSimBody, `{"error":"serve: draining: parallel: pool closed"}`},
+		{"/v1/sweep", `{"cells":[` + testSimBody + `]}`, `{"error":"cell 0: serve: draining: parallel: pool closed"}`},
+	} {
+		if code, _, body := post(t, ts.URL+tc.path, tc.body); code != http.StatusInternalServerError || string(body) != tc.want {
+			t.Errorf("%s after Close: status %d, body %s; want 500 %s", tc.path, code, body, tc.want)
+		}
+	}
+	if n := s.inflight.Load(); n != 0 {
+		t.Fatalf("%d cells still in flight after the failed requests", n)
 	}
 }
 

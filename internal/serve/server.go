@@ -3,8 +3,8 @@
 // sweep-cell requests from many concurrent clients, shards them across
 // a persistent internal/parallel pool, coalesces same-(Template, dt)
 // cells from different clients into shared lockstep batches (see
-// batcher.go), and fronts everything with a content-addressed LRU of
-// finished results.
+// batcher.go), and fronts everything with an LRU of finished results
+// keyed by each cell's normalized spec.
 //
 // The load-bearing property is per-request determinism: the response
 // bytes for a cell are a pure function of its canonical spec —
@@ -49,8 +49,7 @@ type Config struct {
 	// Window is how long a lone cell waits for batchmates; 0 disables
 	// cross-request coalescing.
 	Window time.Duration
-	// CacheEntries bounds the content-addressed result cache; 0
-	// disables caching.
+	// CacheEntries bounds the result cache; 0 disables caching.
 	CacheEntries int
 	// MaxInflightCells is the admission watermark: once this many cells
 	// are queued or running, new work is shed with 429. 0 selects 1024.
@@ -87,7 +86,7 @@ type Server struct {
 	cfg     Config
 	pool    *parallel.Pool
 	batcher *batcher
-	cache   *memo.LRU[[32]byte, []byte]
+	cache   *memo.LRU[CellSpec, []byte]
 	mux     *http.ServeMux
 
 	inflight  atomic.Int64 // cells queued or running
@@ -102,7 +101,7 @@ func New(cfg Config) *Server {
 		cfg:     cfg,
 		pool:    pool,
 		batcher: newBatcher(pool, cfg.Window),
-		cache:   memo.NewLRU[[32]byte, []byte](cfg.CacheEntries),
+		cache:   memo.NewLRU[CellSpec, []byte](cfg.CacheEntries),
 		mux:     http.NewServeMux(),
 	}
 	s.mux.HandleFunc("POST /v1/sim", s.handleSim)
@@ -165,23 +164,54 @@ func writeResult(w http.ResponseWriter, body []byte) {
 	w.Write(body)
 }
 
-// runCell resolves a cell's bytes: cache probe, then batch join. The
-// caller has already admitted the cell.
-func (s *Server) runCell(r *http.Request, c *cell) ([]byte, error) {
-	j := s.batcher.submit(c)
-	select {
-	case res := <-j.done:
-		if res.err != nil {
-			return nil, res.err
+// answer returns the canonical bytes of each cell, in order. Hits come
+// from the cache; the misses are admitted all or nothing, submitted
+// together so they coalesce with each other and with every other
+// in-flight request, and cached as they finish. On failure answer has
+// written the response and returns false: 429 when admission sheds,
+// 500 with the failed cell's error (prefixed "cell i: " when indexed),
+// and nothing when the client has gone. The batch of an abandoned
+// cell still runs (done is buffered); its result is dropped.
+func (s *Server) answer(w http.ResponseWriter, r *http.Request, cells []*cell, indexed bool) ([][]byte, bool) {
+	bodies := make([][]byte, len(cells))
+	var misses []int
+	for i, c := range cells {
+		if body, ok := s.cache.Get(c.spec); ok {
+			bodies[i] = body
+		} else {
+			misses = append(misses, i)
 		}
-		s.cache.Put(c.key, res.bytes)
-		return res.bytes, nil
-	case <-r.Context().Done():
-		// The requester is gone; the batch still runs (done is buffered)
-		// and its result is simply dropped — the cache misses the write,
-		// nothing blocks.
-		return nil, r.Context().Err()
 	}
+	if len(misses) == 0 {
+		return bodies, true
+	}
+	if !s.admit(int64(len(misses))) {
+		s.shedResponse(w)
+		return nil, false
+	}
+	defer s.release(int64(len(misses)))
+	joins := make([]*join, len(misses))
+	for k, i := range misses {
+		joins[k] = s.batcher.submit(cells[i])
+	}
+	for k, i := range misses {
+		select {
+		case res := <-joins[k].done:
+			if res.err != nil {
+				msg := res.err.Error()
+				if indexed {
+					msg = fmt.Sprintf("cell %d: %s", i, msg)
+				}
+				httpError(w, http.StatusInternalServerError, msg)
+				return nil, false
+			}
+			s.cache.Put(cells[i].spec, res.bytes)
+			bodies[i] = res.bytes
+		case <-r.Context().Done():
+			return nil, false
+		}
+	}
+	return bodies, true
 }
 
 // maxRequestBytes caps every request body the handlers decode, so a
@@ -190,7 +220,8 @@ func (s *Server) runCell(r *http.Request, c *cell) ([]byte, error) {
 // takes about a tenth of it (TestLargestSweepBodyFitsCap).
 const maxRequestBytes = 1 << 20
 
-// handleSim answers POST /v1/sim: one cell, one canonical JSON body.
+// handleSim answers POST /v1/sim: one cell, one canonical JSON body,
+// answered as a one-cell sweep is.
 func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
 	var spec CellSpec
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(&spec); err != nil {
@@ -202,27 +233,14 @@ func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	if body, ok := s.cache.Get(c.key); ok {
-		writeResult(w, body)
-		return
+	if bodies, ok := s.answer(w, r, []*cell{c}, false); ok {
+		writeResult(w, bodies[0])
 	}
-	if !s.admit(1) {
-		s.shedResponse(w)
-		return
-	}
-	defer s.release(1)
-	body, err := s.runCell(r, c)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	writeResult(w, body)
 }
 
-// handleSweep answers POST /v1/sweep: every cell resolved up front,
-// cache hits answered from stored bytes, misses submitted together so
-// they coalesce with each other and with every other in-flight
-// request, results assembled in request order.
+// handleSweep answers POST /v1/sweep: every cell resolved up front and
+// answered through the same path as /v1/sim, results assembled in
+// request order.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(&req); err != nil {
@@ -247,39 +265,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		cells[i] = c
 	}
 
-	bodies := make([][]byte, len(cells))
-	missIdx := make([]int, 0, len(cells))
-	for i, c := range cells {
-		if body, ok := s.cache.Get(c.key); ok {
-			bodies[i] = body
-		} else {
-			missIdx = append(missIdx, i)
-		}
-	}
-	if len(missIdx) > 0 {
-		if !s.admit(int64(len(missIdx))) {
-			s.shedResponse(w)
-			return
-		}
-		defer s.release(int64(len(missIdx)))
-		joins := make([]*join, len(missIdx))
-		for k, i := range missIdx {
-			joins[k] = s.batcher.submit(cells[i])
-		}
-		for k, i := range missIdx {
-			select {
-			case res := <-joins[k].done:
-				if res.err != nil {
-					httpError(w, http.StatusInternalServerError,
-						fmt.Sprintf("cell %d: %v", i, res.err))
-					return
-				}
-				s.cache.Put(cells[i].key, res.bytes)
-				bodies[i] = res.bytes
-			case <-r.Context().Done():
-				return
-			}
-		}
+	bodies, ok := s.answer(w, r, cells, true)
+	if !ok {
+		return
 	}
 
 	w.Header().Set("Content-Type", "application/json")

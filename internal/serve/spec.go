@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -60,14 +58,19 @@ type TraceRequest struct {
 	Every int `json:"every,omitempty"`
 }
 
-// cell is a fully resolved, validated simulation cell. Its canonical
-// hash is the content address under which the finished result is
-// cached; everything the simulation depends on — workload, policy,
-// simulated time, the control period that picks the propagator, and
-// the trace length — is folded into the key, so two requests collide
-// exactly when their responses must be bit-identical.
+// cell is a fully resolved, validated simulation cell. Its normalized
+// spec is the key its finished result is cached under, and the key is
+// exact: two cells with equal specs answer bit-identical bytes. The
+// spec names the workload, policy, floorplan and simulated time; the
+// rest of what a run depends on, the control period that picks the
+// propagator and the trace length, both cell kinds take from
+// sim.DefaultConfig() (here and in sim.GridConfig), so within one
+// process they are constants, and the cache never outlives the
+// process. A cell kind with another period or trace length would have
+// to add it to the key. resolveSimTime rejects NaN and maps ±0 to the
+// default, so == on SimTimeS is equality of the time's bits.
 type cell struct {
-	spec   CellSpec // normalized: canonical policy name, resolved simtime
+	spec   CellSpec // normalized: canonical names, resolved simtime
 	cfg    sim.Config
 	mix    workload.Mix
 	policy core.PolicySpec
@@ -75,7 +78,6 @@ type cell struct {
 	// a named mix; label is the generated floorplan's name.
 	benchmarks []string
 	label      string
-	key        [32]byte
 }
 
 // newRunner constructs the simulation for one resolved cell: the
@@ -117,115 +119,58 @@ func (s *Server) resolveSimTime(reqSimTime, defaultSimTime float64) (float64, er
 }
 
 // resolveCell validates a wire spec against the server limits and
-// binds it to the paper's default chip configuration, or to a
-// generated grid when the spec names one.
+// binds it to the paper's default chip under a named mix or, when the
+// spec names a floorplan, to a generated grid through sim.GridConfig,
+// the wiring the manycore extension uses: fitted lumped-RC parameters,
+// per-class DVFS ceilings, and a 3:2 oversubscribed timeshared run over
+// the cyclically tiled benchmark pool. The first fault found is the
+// one reported, in this order: the simulated time, the workload or the
+// floorplan, the policy, the grid build. ParseGridSpec bounds each
+// grid dimension (and the cell product) before anything is allocated,
+// so a hostile "99999999x99999999" floorplan dies here with a 400.
 func (s *Server) resolveCell(spec CellSpec, defaultSimTime float64) (*cell, error) {
 	simTime, err := s.resolveSimTime(spec.SimTimeS, defaultSimTime)
 	if err != nil {
 		return nil, err
 	}
-	if strings.TrimSpace(spec.Floorplan) != "" {
-		return s.resolveGridCell(spec, simTime)
-	}
-	mix, err := workload.MixByName(strings.TrimSpace(spec.Workload))
-	if err != nil {
-		return nil, err
-	}
-	policy, err := core.PolicyByName(spec.Policy)
-	if err != nil {
-		return nil, err
-	}
-	cfg := sim.DefaultConfig()
-	cfg.SimTime = units.Seconds(simTime)
-	c := &cell{
-		spec: CellSpec{
-			Workload: mix.Name,
-			Policy:   policy.CLIName(),
-			SimTimeS: simTime,
-		},
-		cfg:    cfg,
-		mix:    mix,
-		policy: policy,
-	}
-	c.key = cellKey(c.spec, float64(cfg.Policy.SamplePeriod), cfg.TraceIntervals)
-	return c, nil
-}
-
-// resolveGridCell binds a spec to a generated grid floorplan through
-// sim.GridConfig, the wiring the manycore extension uses: fitted
-// lumped-RC parameters, per-class DVFS ceilings, and a 3:2
-// oversubscribed timeshared run over the cyclically tiled benchmark
-// pool. ParseGridSpec bounds each grid dimension (and the cell product)
-// before anything is allocated, so a hostile "99999999x99999999"
-// floorplan dies here with a 400.
-func (s *Server) resolveGridCell(spec CellSpec, simTime float64) (*cell, error) {
-	if strings.TrimSpace(spec.Workload) != "" {
+	var c cell
+	var gs floorplan.GridSpec
+	grid := strings.TrimSpace(spec.Floorplan) != ""
+	switch {
+	case grid && strings.TrimSpace(spec.Workload) != "":
 		return nil, fmt.Errorf("serve: floorplan cells run the tiled benchmark pool; workload must be empty, got %q", spec.Workload)
+	case grid:
+		gs, err = floorplan.ParseGridSpec(strings.TrimSpace(spec.Floorplan))
+	default:
+		c.mix, err = workload.MixByName(strings.TrimSpace(spec.Workload))
 	}
-	gs, err := floorplan.ParseGridSpec(strings.TrimSpace(spec.Floorplan))
 	if err != nil {
 		return nil, err
 	}
-	policy, err := core.PolicyByName(spec.Policy)
-	if err != nil {
+	if c.policy, err = core.PolicyByName(spec.Policy); err != nil {
 		return nil, err
 	}
-	cfg, benchmarks, err := sim.GridConfig(gs)
-	if err != nil {
-		return nil, err
+	if grid {
+		if c.cfg, c.benchmarks, err = sim.GridConfig(gs); err != nil {
+			return nil, err
+		}
+		c.label = c.cfg.Floorplan.Name
+		c.spec.Floorplan = fmt.Sprintf("%dx%d", gs.Rows, gs.Cols)
+	} else {
+		c.cfg = sim.DefaultConfig()
 	}
-	cfg.SimTime = units.Seconds(simTime)
-	c := &cell{
-		spec: CellSpec{
-			Policy:    policy.CLIName(),
-			SimTimeS:  simTime,
-			Floorplan: fmt.Sprintf("%dx%d", gs.Rows, gs.Cols),
-		},
-		cfg:        cfg,
-		policy:     policy,
-		benchmarks: benchmarks,
-		label:      cfg.Floorplan.Name,
-	}
-	c.key = cellKey(c.spec, float64(cfg.Policy.SamplePeriod), cfg.TraceIntervals)
-	return c, nil
-}
-
-// keyPreimageMax bounds the stack buffer the canonical preimage is
-// assembled in: scheme tag, three short names, three 8-byte words, and
-// separators all fit with slack (the floorplan string is canonicalized
-// "RxC" with both dimensions already validated ≤ 4 digits).
-const keyPreimageMax = 192
-
-// cellKey computes the content address of a cell result: a SHA-256
-// over a versioned canonical encoding of everything the response bytes
-// depend on. Strings are length-delimited (no separator ambiguity) and
-// floats are encoded as their IEEE-754 bit patterns, so distinct specs
-// cannot collide by formatting and equal specs hash equally on every
-// machine. The preimage is written at running offsets into a stack
-// array; a name too long for it panics on the slice bound rather than
-// being cut short.
-//
-//mtlint:zeroalloc
-func cellKey(spec CellSpec, dt float64, traceIntervals int) [32]byte {
-	var b [keyPreimageMax]byte
-	off := copy(b[:], "mtserve/2\x00")
-	for _, s := range [...]string{spec.Workload, spec.Policy, spec.Floorplan} {
-		binary.LittleEndian.PutUint32(b[off:], uint32(len(s)))
-		off += 4
-		off += copy(b[off:off+len(s)], s)
-	}
-	for _, w := range [...]uint64{math.Float64bits(spec.SimTimeS), math.Float64bits(dt), uint64(traceIntervals)} {
-		binary.LittleEndian.PutUint64(b[off:], w)
-		off += 8
-	}
-	return sha256.Sum256(b[:off])
+	c.cfg.SimTime = units.Seconds(simTime)
+	c.spec.Workload = c.mix.Name
+	c.spec.Policy = c.policy.CLIName()
+	c.spec.SimTimeS = simTime
+	return &c, nil
 }
 
 // CellResult is the wire form of one finished cell. Field order is the
 // canonical response order; encoding/json marshals struct fields in
 // declaration order with deterministic float formatting, so equal
 // metrics always produce equal bytes — the property the determinism
-// guarantee and the content-addressed cache both rest on.
+// guarantee and the result cache both rest on.
 type CellResult struct {
 	Workload     string    `json:"workload"`
 	Floorplan    string    `json:"floorplan,omitempty"` // canonical "RxC" for grid cells

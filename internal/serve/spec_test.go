@@ -1,10 +1,10 @@
 package serve
 
 import (
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"math"
+	"net/http"
 	"testing"
 
 	"multitherm/internal/core"
@@ -12,30 +12,61 @@ import (
 	"multitherm/internal/workload"
 )
 
-// TestCellKeyPinned pins the content address of one paper cell and one
-// grid cell, as resolveCell computes it, so a change to the preimage's
-// encoding cannot move a cached key unnoticed, and checks that cellKey
-// allocates nothing.
-func TestCellKeyPinned(t *testing.T) {
-	s := New(Config{Workers: 1})
+// TestCacheProbeAllocatesNothing checks that probing the result cache
+// with a resolved cell's spec, one hit and one miss, allocates
+// nothing: a lookup keyed by the spec costs no more than the lookup
+// itself.
+func TestCacheProbeAllocatesNothing(t *testing.T) {
+	s := New(Config{Workers: 1, CacheEntries: 4})
 	defer s.Close()
-	for _, tc := range []struct {
-		spec CellSpec
-		want string
-	}{
-		{CellSpec{Workload: "workload1", Policy: "dist-dvfs", SimTimeS: 0.01}, "54e4c33519ee42349d4a57c7792d114dc22d84e9d4de9cdd5c8c30c360e56c5d"},
-		{CellSpec{Floorplan: "16x16", Policy: "dist-stopgo", SimTimeS: 0.025}, "3d9b163ca62d8dfce1675b10c4f40983a21a4769cdecca2a717bb43f4a75f78b"},
+	var cells [2]*cell
+	for i, spec := range []CellSpec{
+		{Workload: "workload1", Policy: "dist-dvfs", SimTimeS: 0.01},
+		{Floorplan: "16x16", Policy: "dist-stopgo", SimTimeS: 0.025},
 	} {
-		c, err := s.resolveCell(tc.spec, 0)
+		c, err := s.resolveCell(spec, 0)
 		if err != nil {
-			t.Fatalf("%+v: %v", tc.spec, err)
+			t.Fatalf("%+v: %v", spec, err)
 		}
-		if got := hex.EncodeToString(c.key[:]); got != tc.want {
-			t.Errorf("%+v: key %s, want %s", tc.spec, got, tc.want)
-		}
-		dt := float64(c.cfg.Policy.SamplePeriod)
-		if n := testing.AllocsPerRun(50, func() { c.key = cellKey(c.spec, dt, c.cfg.TraceIntervals) }); n != 0 {
-			t.Errorf("%+v: cellKey allocates %v per run", tc.spec, n)
+		cells[i] = c
+	}
+	s.cache.Put(cells[0].spec, []byte(`{}`))
+	if n := testing.AllocsPerRun(100, func() {
+		s.cache.Get(cells[0].spec)
+		s.cache.Get(cells[1].spec)
+	}); n != 0 {
+		t.Errorf("a cache hit and a miss allocate %v objects, want 0", n)
+	}
+	// AllocsPerRun makes one warm-up call before its 100 runs.
+	if st := s.cache.Stats(); st.Hits != 101 || st.Misses != 101 {
+		t.Fatalf("cache stats %+v: want 101 hits and 101 misses", st)
+	}
+}
+
+// TestRejectionTextsKeepPrecedence pins the 400 body of specs that are
+// bad on two axes, so the error a client sees does not depend on how
+// resolution is ordered inside: the simulated time is checked first,
+// then the workload or the floorplan, then the policy.
+func TestRejectionTextsKeepPrecedence(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, tc := range []struct{ path, body, want string }{
+		{"/v1/sim", `{"workload":"nope","policy":"nope"}`,
+			`{"error":"workload: unknown mix \"nope\""}`},
+		{"/v1/sim", `{"floorplan":"axb","policy":"nope"}`,
+			`{"error":"floorplan: cannot parse grid \"axb\" (want RxC, e.g. 16x16): strconv.Atoi: parsing \"a\": invalid syntax"}`},
+		{"/v1/sim", `{"floorplan":"4x4","workload":"workload1","policy":"nope"}`,
+			`{"error":"serve: floorplan cells run the tiled benchmark pool; workload must be empty, got \"workload1\""}`},
+		{"/v1/sim", `{"workload":"nope","policy":"dist-dvfs","simtime_s":-1}`,
+			`{"error":"serve: simtime_s -1 is not a positive duration"}`},
+		{"/v1/sim", `{"floorplan":"axb","policy":"nope","simtime_s":1e-6}`,
+			`{"error":"serve: simtime_s 1e-06 is under half a control period (1.388888888888889e-05 s), which runs no control tick"}`},
+		{"/v1/sweep", `{"cells":[{"workload":"workload1","policy":"dist-dvfs","simtime_s":0.001},{"floorplan":"4x4","workload":"workload1","policy":"nope"}]}`,
+			`{"error":"cell 1: serve: floorplan cells run the tiled benchmark pool; workload must be empty, got \"workload1\""}`},
+		{"/v1/sim/trace", `{"workload":"nope","policy":"nope"}`,
+			`{"error":"workload: unknown mix \"nope\""}`},
+	} {
+		if code, _, body := post(t, ts.URL+tc.path, tc.body); code != http.StatusBadRequest || string(body) != tc.want {
+			t.Errorf("%s %s: status %d, body %s; want 400 %s", tc.path, tc.body, code, body, tc.want)
 		}
 	}
 }
@@ -97,8 +128,8 @@ func TestLargestSweepBodyFitsCap(t *testing.T) {
 
 // FuzzWireSpec decodes arbitrary bytes as each wire type and resolves
 // every cell that decodes. Nothing may panic, and a cell that resolves
-// must resolve to the same key again and from its normalized spec, the
-// content address its cached result is stored under. The seeds are two
+// must resolve to the same normalized spec again and from that spec,
+// the key its cached result is stored under. The seeds are two
 // legal cells and the TestHostileWireRejected bodies, less the three
 // whose only fault is their size: that cap sits in the handlers, not
 // in the decoders, and megabyte inputs stall the fuzzing engine.
@@ -132,7 +163,7 @@ func FuzzWireSpec(f *testing.F) {
 
 // checkResolvedKey resolves spec and, if the server accepts it,
 // resolves it again and resolves its normalized spec, requiring the
-// same key all three times.
+// same normalized spec all three times.
 func checkResolvedKey(t *testing.T, s *Server, spec CellSpec, defaultSimTime float64) {
 	t.Helper()
 	c, err := s.resolveCell(spec, defaultSimTime)
@@ -140,11 +171,17 @@ func checkResolvedKey(t *testing.T, s *Server, spec CellSpec, defaultSimTime flo
 		return
 	}
 	again, err := s.resolveCell(spec, defaultSimTime)
-	if err != nil || again.key != c.key {
-		t.Fatalf("%+v: resolved twice, key %x then %x (err %v)", spec, c.key, again.key, err)
+	if err != nil {
+		t.Fatalf("%+v: resolved once, then failed: %v", spec, err)
+	}
+	if again.spec != c.spec {
+		t.Fatalf("%+v: resolved twice, to %+v then %+v", spec, c.spec, again.spec)
 	}
 	norm, err := s.resolveCell(c.spec, 0)
-	if err != nil || norm.key != c.key {
-		t.Fatalf("%+v: normalized to %+v, key %x then %x (err %v)", spec, c.spec, c.key, norm.key, err)
+	if err != nil {
+		t.Fatalf("%+v: normalized to %+v, which fails to resolve: %v", spec, c.spec, err)
+	}
+	if norm.spec != c.spec {
+		t.Fatalf("%+v: normalized to %+v, which resolves to %+v", spec, c.spec, norm.spec)
 	}
 }

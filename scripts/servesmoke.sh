@@ -7,9 +7,10 @@
 # default pool of one worker per GOMAXPROCS, fires a mixed
 # sim/sweep/trace burst at it with curl twice, in opposite client
 # orderings, and fails unless every response is bit-identical across
-# the two bursts — the serving layer's determinism contract. Finishes
-# by exercising the SIGTERM drain path and checking the server reports
-# a clean exit.
+# the two bursts — the serving layer's determinism contract — and that
+# a respelling of a cached cell replays its bytes as one cache hit.
+# Finishes by exercising the SIGTERM drain path and checking the server
+# reports a clean exit.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -114,6 +115,31 @@ for i in 0 1 2 3 4; do
     }
 done
 echo "servesmoke: $n responses bit-identical across orderings" >&2
+
+# Cache key: results are cached under the normalized spec, so a
+# respelling of request 0 (padded workload, upper-case policy) must
+# replay request 0's bytes as exactly one more hit and add no entry.
+cache_counts() { # cache_counts <stats file>: prints "<entries> <hits>"
+    sed -n 's/.*"cache":{"entries":\([0-9]*\),"hits":\([0-9]*\),.*/\1 \2/p' "$1"
+}
+curl -sS --fail-with-body -o "$tmp/stats.before" "$url/v1/stats"
+curl -sS --fail-with-body -H 'Content-Type: application/json' \
+    --data-binary '{"workload":" workload1 ","policy":"DIST-DVFS","simtime_s":0.01}' \
+    -o "$tmp/resp.respelled" "$url/v1/sim"
+curl -sS --fail-with-body -o "$tmp/stats.after" "$url/v1/stats"
+read -r entries0 hits0 <<EOF
+$(cache_counts "$tmp/stats.before")
+EOF
+read -r entries1 hits1 <<EOF
+$(cache_counts "$tmp/stats.after")
+EOF
+if [ -z "$hits0" ] || [ -z "$hits1" ] || ! cmp "$tmp/resp.1.0" "$tmp/resp.respelled" >&2 ||
+    [ "$entries1" -ne "$entries0" ] || [ "$hits1" -ne $((hits0 + 1)) ]; then
+    { cat "$tmp/stats.before" "$tmp/stats.after"; echo; } >&2
+    echo "FAIL: a respelling of request 0 did not replay its cached bytes as one hit (entries $entries0 -> $entries1, hits $hits0 -> $hits1)" >&2
+    exit 1
+fi
+echo "servesmoke: a respelled cell replays its cached bytes (one hit, no new entry)" >&2
 
 # Graceful drain under load: open trace streams, then SIGTERM while
 # they are in flight. The server must finish every open stream, report
