@@ -1,17 +1,14 @@
 // Command mtlint is the repository's domain-specific static-analysis
-// gate: a multichecker over the internal/analysis suite.
+// gate. It runs the determinism analyzer (internal/analysis/determinism
+// has the full contract) over the named packages:
 //
 //	go run ./cmd/mtlint ./...
 //
-// Analyzers (see internal/analysis/... for the full contracts):
+// determinism flags wall-clock reads, global rand, map iteration, and
+// unordered goroutine result collection in //mtlint:deterministic
+// packages.
 //
-//	determinism — wall-clock reads, global rand, map iteration, and
-//	              unordered goroutine result collection in
-//	              //mtlint:deterministic packages
-//	zeroalloc   — heap escapes inside //mtlint:zeroalloc functions
-//	              (from `go build -gcflags=-m` output)
-//
-// Exit status is 2 on findings or type errors, 1 on infrastructure
+// Exit status is 2 on findings, 1 on type errors or infrastructure
 // failure, 0 when clean. -json emits machine-readable findings.
 package main
 
@@ -20,43 +17,22 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"regexp"
 
 	"multitherm/internal/analysis/determinism"
 	"multitherm/internal/analysis/driver"
-	"multitherm/internal/analysis/zeroalloc"
 )
 
-var all = []*driver.Analyzer{
-	determinism.Analyzer,
-	zeroalloc.Analyzer,
-}
+var analyzers = []*driver.Analyzer{determinism.Analyzer}
 
 func main() {
 	jsonOut := flag.Bool("json", false, "emit findings as JSON")
-	run := flag.String("run", "", "only run analyzers matching this regexp")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: mtlint [-json] [-run regexp] [packages]\n\nAnalyzers:\n")
-		for _, a := range all {
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: mtlint [-json] [packages]\n\nAnalyzers:\n")
+		for _, a := range analyzers {
 			fmt.Fprintf(flag.CommandLine.Output(), "  %-12s %s\n", a.Name, a.Doc)
 		}
 	}
 	flag.Parse()
-
-	analyzers := all
-	if *run != "" {
-		rx, err := regexp.Compile(*run)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mtlint: bad -run regexp: %v\n", err)
-			os.Exit(1)
-		}
-		analyzers = nil
-		for _, a := range all {
-			if rx.MatchString(a.Name) {
-				analyzers = append(analyzers, a)
-			}
-		}
-	}
 
 	pkgs, err := driver.Load(".", flag.Args()...)
 	if err != nil {

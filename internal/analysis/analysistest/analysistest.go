@@ -55,8 +55,7 @@ func Run(t *testing.T, dir string, a *driver.Analyzer, patterns ...string) {
 
 	var wants []*expectation
 	for _, pkg := range pkgs {
-		files := append(append([]*ast.File(nil), pkg.Files...), pkg.TestFiles...)
-		for _, f := range files {
+		for _, f := range pkg.Files {
 			ws, err := collectWants(pkg.Fset, f)
 			if err != nil {
 				t.Fatal(err)

@@ -13,11 +13,6 @@ import (
 //	    Package marker, placed with the package clause (any file).
 //	    Opts the package into the determinism analyzer.
 //
-//	//mtlint:zeroalloc
-//	    Function marker, placed in a function's doc comment. The
-//	    zeroalloc analyzer fails the build if escape analysis reports
-//	    any heap allocation inside the function body.
-//
 //	//mtlint:allow <check> [reason]
 //	    Line-level suppression, on the flagged line or the line
 //	    directly above it. Checks: maprange, time, rand, goappend.
@@ -64,19 +59,6 @@ func PackageMarked(pkg *Package, name string) bool {
 	return false
 }
 
-// FuncMarked reports whether fn's doc comment carries //mtlint:<name>.
-func FuncMarked(fn *ast.FuncDecl, name string) bool {
-	if fn.Doc == nil {
-		return false
-	}
-	for _, c := range fn.Doc.List {
-		if n, _, ok := directive(c); ok && n == name {
-			return true
-		}
-	}
-	return false
-}
-
 // Allowed reports whether a "//mtlint:allow <check>" suppression
 // covers pos: the directive may sit on the same line (trailing
 // comment) or on the line immediately above.
@@ -105,15 +87,9 @@ func Allowed(pkg *Package, pos token.Pos, check string) bool {
 	return false
 }
 
-// fileFor returns the parsed file containing pos (test files included,
-// so suppressions work uniformly).
+// fileFor returns the parsed file containing pos.
 func fileFor(pkg *Package, pos token.Pos) *ast.File {
 	for _, f := range pkg.Files {
-		if f.FileStart <= pos && pos < f.FileEnd {
-			return f
-		}
-	}
-	for _, f := range pkg.TestFiles {
 		if f.FileStart <= pos && pos < f.FileEnd {
 			return f
 		}

@@ -6,21 +6,17 @@
 // the go command already produces), hands each package to a set of
 // Analyzers, and collects position-tagged diagnostics.
 //
-// The domain analyzers under internal/analysis/... enforce two
-// invariants the simulator's correctness claims rest on — reproducible
-// closed-loop trajectories and zero-allocation hot ticks — and
-// cmd/mtlint wires them into one CLI gate.
+// The one domain analyzer, internal/analysis/determinism, enforces the
+// invariant the simulator's correctness claims rest on: reproducible
+// closed-loop trajectories. cmd/mtlint wires it into a CLI gate.
 package driver
 
 import (
-	"context"
 	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
 	"sort"
-
-	"multitherm/internal/parallel"
 )
 
 // Analyzer is one static check. Run inspects a fully loaded package
@@ -75,48 +71,21 @@ func (d Diagnostic) String() string {
 // diagnostics sorted by file, line, and column. Infrastructure errors
 // (not findings) are returned separately; analysis continues past them
 // so one broken analyzer does not mask another's findings.
-//
-// Passes are independent — an analyzer sees one package at a time and
-// only reads shared structures (the FileSet, gc export data) — so Run
-// fans them out across internal/parallel workers. That matters chiefly
-// for zeroalloc, whose per-package `go build -gcflags=-m` subprocess
-// dominates the gate's wall clock. Determinism is preserved the same
-// way the sweep engine preserves it: each pass writes into its own
-// index-addressed slot, the slots are flattened in index order, and the
-// final position sort makes the output independent of scheduling.
 func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, []error) {
-	if len(pkgs) == 0 || len(analyzers) == 0 {
-		return nil, nil
-	}
-	type slot struct {
-		diags []Diagnostic
-		err   error
-	}
-	slots := make([]slot, len(pkgs)*len(analyzers))
-	// fn never returns an error: infrastructure failures are recorded in
-	// the pass's slot so every pass still runs (ForEach would cancel the
-	// remaining work on the first error).
-	_ = parallel.ForEach(context.Background(), 0, len(slots), func(_ context.Context, i int) error {
-		pkg, a := pkgs[i/len(analyzers)], analyzers[i%len(analyzers)]
-		s := &slots[i]
-		pass := &Pass{
-			Analyzer: a,
-			Pkg:      pkg,
-			report:   func(d Diagnostic) { s.diags = append(s.diags, d) },
-		}
-		if err := a.Run(pass); err != nil {
-			s.err = fmt.Errorf("%s: %s: %w", a.Name, pkg.ImportPath, err)
-		}
-		return nil
-	})
 	var (
 		diags []Diagnostic
 		errs  []error
 	)
-	for i := range slots {
-		diags = append(diags, slots[i].diags...)
-		if slots[i].err != nil {
-			errs = append(errs, slots[i].err)
+	for _, pkg := range pkgs {
+		for _, a := range analyzers {
+			pass := &Pass{
+				Analyzer: a,
+				Pkg:      pkg,
+				report:   func(d Diagnostic) { diags = append(diags, d) },
+			}
+			if err := a.Run(pass); err != nil {
+				errs = append(errs, fmt.Errorf("%s: %s: %w", a.Name, pkg.ImportPath, err))
+			}
 		}
 	}
 	sort.Slice(diags, func(i, j int) bool {

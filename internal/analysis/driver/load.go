@@ -14,23 +14,18 @@ import (
 	"os/exec"
 	"path/filepath"
 	"runtime"
-	"strings"
 )
 
-// Package is one loaded, type-checked package plus the metadata the
-// analyzers need (in-package test sources, module context for
-// re-invoking the go tool).
+// Package is one loaded, type-checked package. Only its non-test
+// files are loaded: the analyzers check production code.
 type Package struct {
 	ImportPath string
 	Name       string
-	Dir        string
 
-	GoFiles     []string // absolute paths, non-test
-	TestGoFiles []string // absolute paths, in-package _test.go files
+	GoFiles []string // absolute paths, non-test
 
-	Fset      *token.FileSet
-	Files     []*ast.File // parsed GoFiles, with comments
-	TestFiles []*ast.File // parsed TestGoFiles, with comments (not type-checked)
+	Fset  *token.FileSet
+	Files []*ast.File // parsed GoFiles, with comments
 
 	Types     *types.Package
 	TypesInfo *types.Info
@@ -44,17 +39,16 @@ type Package struct {
 // goListPkg mirrors the fields of `go list -json` output the loader
 // consumes.
 type goListPkg struct {
-	Dir         string
-	ImportPath  string
-	Name        string
-	GoFiles     []string
-	TestGoFiles []string
-	Export      string
-	ImportMap   map[string]string
-	DepOnly     bool
-	Standard    bool
-	Incomplete  bool
-	Error       *struct{ Err string }
+	Dir        string
+	ImportPath string
+	Name       string
+	GoFiles    []string
+	Export     string
+	ImportMap  map[string]string
+	DepOnly    bool
+	Standard   bool
+	Incomplete bool
+	Error      *struct{ Err string }
 }
 
 // Load enumerates the packages matching patterns (relative to dir),
@@ -70,7 +64,7 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	}
 	args := append([]string{
 		"list", "-e", "-deps", "-export",
-		"-json=Dir,ImportPath,Name,GoFiles,TestGoFiles,Export,ImportMap,DepOnly,Standard,Incomplete,Error",
+		"-json=Dir,ImportPath,Name,GoFiles,Export,ImportMap,DepOnly,Standard,Incomplete,Error",
 	}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
@@ -150,12 +144,10 @@ func (i *exportImporter) Import(path string) (*types.Package, error) {
 
 func typecheck(fset *token.FileSet, imp types.Importer, lp *goListPkg) (*Package, error) {
 	pkg := &Package{
-		ImportPath:  lp.ImportPath,
-		Name:        lp.Name,
-		Dir:         lp.Dir,
-		GoFiles:     absAll(lp.Dir, lp.GoFiles),
-		TestGoFiles: absAll(lp.Dir, lp.TestGoFiles),
-		Fset:        fset,
+		ImportPath: lp.ImportPath,
+		Name:       lp.Name,
+		GoFiles:    absAll(lp.Dir, lp.GoFiles),
+		Fset:       fset,
 	}
 	for _, f := range pkg.GoFiles {
 		af, err := parser.ParseFile(fset, f, nil, parser.ParseComments)
@@ -163,13 +155,6 @@ func typecheck(fset *token.FileSet, imp types.Importer, lp *goListPkg) (*Package
 			return nil, err
 		}
 		pkg.Files = append(pkg.Files, af)
-	}
-	for _, f := range pkg.TestGoFiles {
-		af, err := parser.ParseFile(fset, f, nil, parser.ParseComments)
-		if err != nil {
-			return nil, err
-		}
-		pkg.TestFiles = append(pkg.TestFiles, af)
 	}
 
 	pkg.TypesInfo = &types.Info{
@@ -206,24 +191,4 @@ func absAll(dir string, files []string) []string {
 		}
 	}
 	return out
-}
-
-// GoTool runs the go command with the given arguments in the package's
-// module context and returns its combined output. The zeroalloc
-// analyzer uses it to obtain `-gcflags=-m` escape-analysis output; the
-// build cache replays compiler diagnostics, so repeated runs stay
-// cheap.
-func (p *Package) GoTool(args ...string) (string, error) {
-	cmd := exec.Command("go", args...)
-	cmd.Dir = p.Dir
-	var buf bytes.Buffer
-	cmd.Stdout = &buf
-	cmd.Stderr = &buf
-	err := cmd.Run()
-	if err != nil && !strings.Contains(buf.String(), ":") {
-		// Diagnostics-bearing failures still return useful output; a
-		// bare failure (tool missing, bad invocation) does not.
-		return "", fmt.Errorf("go %s: %w\n%s", strings.Join(args, " "), err, buf.String())
-	}
-	return buf.String(), nil
 }

@@ -10,8 +10,8 @@ import (
 )
 
 // loadFixture loads the small multi-package module under testdata; it
-// gives Run several independent passes to fan out without depending on
-// the repository's own package graph.
+// gives Run several packages whose findings must interleave by position,
+// without depending on the repository's own package graph.
 func loadFixture(t *testing.T) []*driver.Package {
 	t.Helper()
 	pkgs, err := driver.Load("testdata/src", "./...")
@@ -26,8 +26,8 @@ func loadFixture(t *testing.T) []*driver.Package {
 
 // identReporter flags every exported top-level declaration name; it is
 // cheap, touches every package, and yields multiple diagnostics per
-// pass so scheduling skew between parallel passes would be visible as
-// reordered output if the slotting were broken.
+// pass, which the final sort must merge with fileReporter's by
+// position.
 var identReporter = &driver.Analyzer{
 	Name: "identreporter",
 	Doc:  "test analyzer: reports every exported top-level name",
@@ -63,10 +63,10 @@ var fileReporter = &driver.Analyzer{
 	},
 }
 
-// TestRunDeterministicOrder runs the same analyzer set repeatedly over
-// the same packages and demands bit-identical diagnostic sequences:
-// the parallel fan-out must not let goroutine scheduling leak into the
-// reported order.
+// TestRunDeterministicOrder runs two analyzers over the fixture
+// packages and demands diagnostics in position order, identical on
+// every repeat: Run's final sort, not the order in which passes report,
+// fixes the output.
 func TestRunDeterministicOrder(t *testing.T) {
 	pkgs := loadFixture(t)
 	analyzers := []*driver.Analyzer{identReporter, fileReporter}
@@ -97,7 +97,7 @@ func TestRunDeterministicOrder(t *testing.T) {
 }
 
 // TestRunContinuesPastErrors checks that one failing analyzer neither
-// cancels the remaining passes nor suppresses their findings, and that
+// stops the passes after it nor suppresses their findings, and that
 // every failing pass surfaces its own error.
 func TestRunContinuesPastErrors(t *testing.T) {
 	pkgs := loadFixture(t)

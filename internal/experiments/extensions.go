@@ -98,11 +98,48 @@ func (h *HeteroResult) Render() string {
 			fmt.Sprintf("%.2f", he.MeanBIPS),
 			fmt.Sprintf("%.0f%%", ratio*100))
 	}
-	return t.String() + "Under thermal duress, capping half the cores costs the DVFS policies\n" +
-		"almost nothing (their controllers already operate below the cap) and can\n" +
-		"even help naive stop-go, for which the cap acts as a built-in static\n" +
-		"throttle that avoids 30 ms stalls — heterogeneity changes the operating\n" +
-		"points, not the taxonomy's ordering.\n"
+	return t.String() + h.conclusion()
+}
+
+// heteroRetainFloor is the share of its homogeneous BIPS that every
+// DVFS policy must keep on the capped chip for the cap to cost it
+// "almost nothing".
+const heteroRetainFloor = 0.95
+
+// conclusion states only what the rows support: the cap costs the DVFS
+// policies almost nothing when each keeps heteroRetainFloor of its
+// homogeneous BIPS, it helps stop-go when every stop-go row gains, and
+// the taxonomy's ordering holds when ranking the rows by BIPS gives the
+// same order in both columns.
+func (h *HeteroResult) conclusion() string {
+	cheap, helps, ordered := true, true, true
+	for _, a := range h.Specs {
+		ho, he := h.Homo[a].MeanBIPS, h.Het[a].MeanBIPS
+		switch a.Mechanism {
+		case core.DVFS:
+			cheap = cheap && he >= heteroRetainFloor*ho
+		case core.StopGo:
+			helps = helps && he > ho
+		}
+		for _, b := range h.Specs {
+			ordered = ordered && (ho < h.Homo[b].MeanBIPS) == (he < h.Het[b].MeanBIPS)
+		}
+	}
+	var effects []string
+	if cheap {
+		effects = append(effects, "costs the DVFS policies almost nothing (their controllers already operate below the cap)")
+	}
+	if helps {
+		effects = append(effects, "can even help naive stop-go, for which the cap acts as a built-in static throttle that avoids 30 ms stalls")
+	}
+	ranking := "heterogeneity changes the operating points, not the taxonomy's ordering."
+	if !ordered {
+		ranking = "heterogeneity changes the operating points and the policies' ranking by BIPS."
+	}
+	if len(effects) == 0 {
+		return wrap(strings.ToUpper(ranking[:1])+ranking[1:], 72)
+	}
+	return wrap("Under thermal duress, capping half the cores "+strings.Join(effects, " and ")+" — "+ranking, 72)
 }
 
 // ------------------------------------------------------------ ablations

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"multitherm/internal/core"
+	"multitherm/internal/metrics"
 	"multitherm/internal/units"
 )
 
@@ -198,6 +199,60 @@ func TestMultiprocConclusionFollowsRows(t *testing.T) {
 		tc.edit(m)
 		if got := m.Render(); !strings.HasSuffix(got, "\n"+tc.want) {
 			t.Errorf("%s: render ends\n%s\nwant it to end\n%s", tc.name, got[strings.LastIndex(got, "°C"):], tc.want)
+		}
+	}
+}
+
+// TestHeteroConclusionFollowsRows flips each claim of the hetero
+// conclusion on hand-built rows, starting from the 0.02 s golden's: a
+// clause prints only while every row supports it.
+func TestHeteroConclusionFollowsRows(t *testing.T) {
+	const (
+		lead    = "Under thermal duress, capping half the cores "
+		ordered = "heterogeneity changes the operating points, not the taxonomy's ordering.\n"
+	)
+	specs := []core.PolicySpec{
+		core.Baseline,
+		{Mechanism: core.DVFS, Scope: core.Global},
+		{Mechanism: core.DVFS, Scope: core.Distributed},
+		{Mechanism: core.DVFS, Scope: core.Distributed, Migration: core.SensorMigration},
+	}
+	for _, tc := range []struct {
+		name string
+		het  []units.BIPS // against homogeneous 8.32, 13.22, 15.67, 16.39
+		want string
+	}{
+		{"every claim holds", []units.BIPS{11.01, 13.65, 15.17, 15.76},
+			lead + "costs the DVFS policies\n" +
+				"almost nothing (their controllers already operate below the cap) and can\n" +
+				"even help naive stop-go, for which the cap acts as a built-in static\n" +
+				"throttle that avoids 30 ms stalls — heterogeneity changes the operating\n" +
+				"points, not the taxonomy's ordering.\n"},
+		{"a DVFS row keeps under 95 %", []units.BIPS{11.01, 13.65, 14.8, 15.76},
+			lead + "can even help naive\n" +
+				"stop-go, for which the cap acts as a built-in static throttle that\n" +
+				"avoids 30 ms stalls — heterogeneity changes the operating points, not\n" +
+				"the taxonomy's ordering.\n"},
+		{"stop-go loses", []units.BIPS{8, 13.65, 15.17, 15.76},
+			lead + "costs the DVFS policies\n" +
+				"almost nothing (their controllers already operate below the cap) —\n" +
+				ordered},
+		{"two DVFS rows swap", []units.BIPS{11.01, 13.65, 15.8, 15.76},
+			lead + "costs the DVFS policies\n" +
+				"almost nothing (their controllers already operate below the cap) and can\n" +
+				"even help naive stop-go, for which the cap acts as a built-in static\n" +
+				"throttle that avoids 30 ms stalls — heterogeneity changes the operating\n" +
+				"points and the policies' ranking by BIPS.\n"},
+		{"no claim holds", []units.BIPS{8, 13.65, 15.17, 15},
+			"Heterogeneity changes the operating points and the policies' ranking by\nBIPS.\n"},
+	} {
+		h := &HeteroResult{Specs: specs, Homo: map[core.PolicySpec]metrics.Summary{}, Het: map[core.PolicySpec]metrics.Summary{}}
+		for i, spec := range specs {
+			h.Homo[spec] = metrics.Summary{MeanBIPS: []units.BIPS{8.32, 13.22, 15.67, 16.39}[i]}
+			h.Het[spec] = metrics.Summary{MeanBIPS: tc.het[i]}
+		}
+		if got := h.Render(); !strings.HasSuffix(got, "\n"+tc.want) {
+			t.Errorf("%s: render ends\n%s\nwant it to end\n%s", tc.name, got[strings.LastIndex(got, "%"):], tc.want)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"strings"
+	"unicode/utf8"
 )
 
 // table is a minimal text-table builder for experiment reports.
@@ -58,5 +59,26 @@ func (t *table) String() string {
 	for _, r := range t.rows {
 		line(r)
 	}
+	return b.String()
+}
+
+// wrap breaks s at spaces into lines of at most width runes, filling
+// each line greedily, and ends every line with a newline.
+func wrap(s string, width int) string {
+	var b strings.Builder
+	n := 0
+	for _, w := range strings.Fields(s) {
+		l := utf8.RuneCountInString(w)
+		if n > 0 && n+1+l > width {
+			b.WriteByte('\n')
+			n = 0
+		} else if n > 0 {
+			b.WriteByte(' ')
+			n++
+		}
+		b.WriteString(w)
+		n += l
+	}
+	b.WriteByte('\n')
 	return b.String()
 }

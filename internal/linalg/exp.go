@@ -19,15 +19,11 @@ const expDomain = 708.0
 // assembly kernel that performs the same IEEE operations in the same
 // order as math.Exp; every other input, and every input on other CPUs
 // or under the noasm build tag, runs math.Exp itself.
-//
-//mtlint:zeroalloc
 func ExpInto(dst, x []float64) { expInto(dst, x) }
 
 // expInto is ExpInto returning how many elements ran math.Exp rather
 // than the vector kernel: all of them without the kernel, otherwise
 // only those outside |x| ≤ expDomain.
-//
-//mtlint:zeroalloc
 func expInto(dst, x []float64) (fallback int) {
 	if len(dst) != len(x) {
 		badExpArgs(len(dst), len(x))
@@ -55,8 +51,6 @@ func expInto(dst, x []float64) (fallback int) {
 }
 
 // expGeneric is the portable twin of expKernel: math.Exp per element.
-//
-//mtlint:zeroalloc
 func expGeneric(dst, x []float64) {
 	dst = dst[:len(x)]
 	for i, v := range x {

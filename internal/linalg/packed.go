@@ -78,8 +78,6 @@ func (p *Packed) SIMDAccelerated() bool {
 // bias must have length Stride (entries past Rows are padding — the
 // kernel writes them, so y[Rows:Stride] is scratch, and bias padding
 // should be zero). y must not alias x or bias.
-//
-//mtlint:zeroalloc
 func (p *Packed) MulAddInto(y, bias, x []float64) {
 	if len(x) != p.cols || len(y) != p.stride || len(bias) != p.stride {
 		p.badMulAddArgs(len(x), len(y), len(bias))
@@ -92,8 +90,8 @@ func (p *Packed) MulAddInto(y, bias, x []float64) {
 }
 
 // badMulAddArgs formats the MulAddInto argument panic off the hot
-// path: the fmt.Sprintf interface conversions are heap allocations
-// that must not appear inside the zeroalloc-marked kernel body.
+// path: a cold, non-inlined helper keeps fmt.Sprintf and its
+// allocating interface conversions out of the kernel body.
 //
 //go:noinline
 func (p *Packed) badMulAddArgs(nx, ny, nbias int) {
@@ -107,8 +105,6 @@ func (p *Packed) badMulAddArgs(nx, ny, nbias int) {
 // mulAddGeneric is the portable axpy-form y = bias + P·x for one lane.
 // Both MulAddInto and MulBatchInto fall back to it, so the two paths
 // produce bit-identical results on machines without the SIMD kernel.
-//
-//mtlint:zeroalloc
 func (p *Packed) mulAddGeneric(y, bias, x []float64) {
 	copy(y, bias)
 	for j := 0; j < p.cols; j++ {
@@ -141,8 +137,6 @@ func (p *Packed) mulAddGeneric(y, bias, x []float64) {
 // on return: when the live rows fit in seven of the eight ZMM chunks
 // (Rows ≤ 56) the quad kernel skips the all-zero padding chunk
 // entirely and never writes it.
-//
-//mtlint:zeroalloc
 func (p *Packed) MulBatchInto(y, bias []float64, k int, x []float64, xStride int) {
 	if k == 0 {
 		return
@@ -183,8 +177,6 @@ func (p *Packed) MulBatchInto(y, bias []float64, k int, x []float64, xStride int
 // copy, then ascending-column axpy with exact-zero skip), so every lane
 // is bit-identical to the sequential path regardless of how the lanes
 // are grouped.
-//
-//mtlint:zeroalloc
 func (p *Packed) mulBatchGeneric(y, bias []float64, k int, x []float64, xStride int) {
 	copy(y[:k*p.stride], bias[:k*p.stride])
 	l := 0

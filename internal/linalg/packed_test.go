@@ -199,20 +199,30 @@ func TestMulBatchIntoMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestMulBatchIntoZeroAlloc holds the zero-allocation contract of the
+// dense kernels: the batched and the one-lane packed GEMV, and
+// Matrix.MulVecInto.
 func TestMulBatchIntoZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(56))
-	p, _, _ := randomPacked(rng, 55, 42, 13) // 55 cols ≤ the 64-entry stride
-	k := 8
-	x := make([]float64, k*p.Stride())
+	p, m, _ := randomPacked(rng, 55, 42, 13) // 55 cols ≤ the 64-entry stride
+	k, st := 8, p.Stride()
+	x := make([]float64, k*st)
 	for j := range x {
 		x[j] = rng.NormFloat64()
 	}
-	y := make([]float64, k*p.Stride())
-	bias := make([]float64, k*p.Stride())
-	if allocs := testing.AllocsPerRun(100, func() {
-		p.MulBatchInto(y, bias, k, x, p.Stride())
-	}); allocs != 0 {
-		t.Fatalf("MulBatchInto allocates %.0f objects per call, want 0", allocs)
+	y := make([]float64, k*st)
+	bias := make([]float64, k*st)
+	for _, kernel := range []struct {
+		name string
+		call func()
+	}{
+		{"MulBatchInto", func() { p.MulBatchInto(y, bias, k, x, st) }},
+		{"MulAddInto", func() { p.MulAddInto(y[:st], bias[:st], x[:p.Cols()]) }},
+		{"Matrix.MulVecInto", func() { m.MulVecInto(y[:m.Rows()], x[:m.Cols()]) }},
+	} {
+		if allocs := testing.AllocsPerRun(100, kernel.call); allocs != 0 {
+			t.Errorf("%s allocates %.0f objects per call, want 0", kernel.name, allocs)
+		}
 	}
 }
 

@@ -178,8 +178,6 @@ func newWorkspace(m, n, k int) *Workspace {
 // it; no lane's arithmetic (the mat-vecs, the MGS orthogonalization,
 // the basis combination) reads another lane, so batched stepping is
 // bit-identical to sequential stepping.
-//
-//mtlint:zeroalloc
 func (p *Propagator) AdvanceBatch(ws *Workspace, z, c []float64, k int) {
 	n1 := p.n + 1
 	if ws.m != p.m || ws.n != p.n || k <= 0 || k > ws.k ||
@@ -197,8 +195,6 @@ func (p *Propagator) AdvanceBatch(ws *Workspace, z, c []float64, k int) {
 // ws.H, and the lane norms in ws.beta. It returns lane 0's β for the
 // calibration path. Called with the workspace's own m-capacity from
 // calibrate, and with the fixed p.m from AdvanceBatch.
-//
-//mtlint:zeroalloc
 func (p *Propagator) arnoldi(ws *Workspace, z, c []float64, k, m int) float64 {
 	n1 := p.n + 1
 	hm := ws.m + 1
@@ -264,8 +260,6 @@ func lane(ws *Workspace, j, l int) []float64 {
 // its augmented entry, and returns v·w over the updated w. Each w[t]
 // gets the add before its product joins the sum, and the sum runs in
 // ascending t, so the result equals the add pass followed by dot(v, w).
-//
-//mtlint:zeroalloc
 func addDot(w, c []float64, s float64, v []float64) float64 {
 	n := len(c)
 	w, v = w[:n+1], v[:n+1]
@@ -282,8 +276,6 @@ func addDot(w, c []float64, s float64, v []float64) float64 {
 // subDot subtracts h·v from w and returns u·w over the updated w; u
 // may be w itself, which makes the result ||w||². As in addDot, the
 // result equals the axpy pass followed by dot(u, w), bit for bit.
-//
-//mtlint:zeroalloc
 func subDot(w, v []float64, h float64, u []float64) float64 {
 	v, u = v[:len(w)], u[:len(w)]
 	var d float64
@@ -297,8 +289,6 @@ func subDot(w, v []float64, h float64, u []float64) float64 {
 // combine forms z ← β·V·(e^{H} e₁) per lane and re-pins the augmented
 // entry to exactly 1 (its mathematical value under the zero bottom row
 // of M; re-pinning stops roundoff from drifting the affine embedding).
-//
-//mtlint:zeroalloc
 func (p *Propagator) combine(ws *Workspace, z []float64, k int) {
 	n1 := p.n + 1
 	hm := ws.m + 1
@@ -334,8 +324,6 @@ func badAdvanceArgs(wsM, wsN, wsK, pm, pn, k, lz, lc int) {
 // workspace buffers. The iteration counts depend only on the input
 // values, so the routine is deterministic; m is Krylov-sized (<= 48),
 // so the O(m³) multiplies are noise next to the mat-vec work.
-//
-//mtlint:zeroalloc
 func expmSmall(ws *Workspace, m int) {
 	a := ws.t1
 	// Scale T by 2^-s until its 1-norm is at most 1/2.

@@ -152,8 +152,6 @@ func (b *Builder) Build() *CSR {
 // order, starting from +0; the propagator's row-group kernel keeps
 // that order per row, so it is bit-identical to this one, which stays
 // as CG's mat-vec and the tests' reference.
-//
-//mtlint:zeroalloc
 func (a *CSR) MulVecInto(y, x []float64) {
 	if len(y) < a.rows || len(x) < a.cols {
 		badVecArgs(len(y), len(x), a.rows, a.cols)
@@ -253,8 +251,6 @@ func newRowGroups(a *CSR) *rowGroups {
 // a separate multiply and add, and only rows of equal length share a
 // group, so there is no padding. Only which rows run side by side
 // changes. y must not alias x.
-//
-//mtlint:zeroalloc
 func (g *rowGroups) mulInto(y, x []float64) {
 	a := g.a
 	if len(y) < a.rows || len(x) < a.cols {
@@ -275,8 +271,6 @@ func (g *rowGroups) mulInto(y, x []float64) {
 
 // mulAVX512 runs the groups and the long row through the AVX-512
 // kernel, which takes nil for an empty slot or long-row array.
-//
-//mtlint:zeroalloc
 func (g *rowGroups) mulAVX512(y, x []float64) {
 	var (
 		grp  *rowGroup
@@ -316,8 +310,6 @@ func (g *rowGroups) mulAVX512(y, x []float64) {
 // NaN the operand order moves no bit, and a NaN reaches the row's sum,
 // so a group whose sums hold a NaN (or whose total does) is summed
 // again row by row.
-//
-//mtlint:zeroalloc
 func (g *rowGroups) mulGroups(y, x []float64) {
 	for gi := range g.groups {
 		grp := &g.groups[gi]
@@ -353,8 +345,6 @@ func (g *rowGroups) mulGroups(y, x []float64) {
 }
 
 // rowDot returns row i of A·x, summed as MulVecInto sums it.
-//
-//mtlint:zeroalloc
 func (a *CSR) rowDot(i int32, x []float64) float64 {
 	var acc float64
 	for k := a.rowPtr[i]; k < a.rowPtr[i+1]; k++ {

@@ -376,8 +376,8 @@ func TestSolveCGRejectsIndefinite(t *testing.T) {
 	}
 }
 
-// TestKernelsAllocationFree backs the //mtlint:zeroalloc annotations
-// with a runtime check.
+// TestKernelsAllocationFree checks that the sparse mat-vecs and the
+// Krylov reductions allocate nothing per call.
 func TestKernelsAllocationFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	a, _ := randCSR(rng, 20, 20, 0.3)

@@ -109,12 +109,10 @@ func TestLRUFlush(t *testing.T) {
 }
 
 // TestLRUAllocations pins the cost of the serve path's two calls in a
-// full cache. Get allocates nothing, hit or miss; mtlint's zeroalloc
-// cannot check it, because a generic body compiles only where it is
-// instantiated, so this test is Get's only allocation gate. A Put of a
-// new key allocates its list element and entry, and evicting the
-// oldest allocates nothing; a Put that copied the whole map would
-// allocate every bucket again.
+// full cache. Get allocates nothing, hit or miss, and this test is
+// its only allocation gate. A Put of a new key allocates its list
+// element and entry, and evicting the oldest allocates nothing; a Put
+// that copied the whole map would allocate every bucket again.
 func TestLRUAllocations(t *testing.T) {
 	const capacity = 4096
 	c := NewLRU[int, int](capacity)

